@@ -15,6 +15,7 @@ from typing import Iterator
 
 from .chords import (Chord, Matching, is_centrally_symmetric,
                      opening_endpoint, segment)
+from .errors import VerificationError
 
 _PAREN = str.maketrans("()", "UD")
 
@@ -106,6 +107,26 @@ def _suffix_counts(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in t)
 
 
+@lru_cache(maxsize=None)
+def _d_terms(n: int) -> tuple[int, ...]:
+    """Rank term c(i, h) of a D at 0-based position i, height h before it.
+
+    A word's rank is the sum of c over its D letters: with u = n-(i+h)/2
+    Us and d = n-(i-h)/2 Ds left, c(i, h) = t[u-1][d] (0 when u = 0).
+    Flat, at index i*(n+3) + h for h in 0..n+2; (i, h) pairs that no
+    balanced word reaches, including those of the wrong parity, hold 0.
+    """
+    t = _suffix_counts(n)
+    stride = n + 3
+    c = [0] * (2 * n * stride)
+    for i in range(2 * n):
+        for h in range(i % 2, min(i, 2 * n - i) + 1, 2):
+            u = n - (i + h) // 2
+            if u:
+                c[i * stride + h] = t[u - 1][n - (i - h) // 2]
+    return tuple(c)
+
+
 def _word_rank(w: str) -> int:
     n = len(w) // 2
     t = _suffix_counts(n)
@@ -130,6 +151,10 @@ def rank(m: Matching | str) -> int:
 
 def unrank(n: int, r: int) -> Matching:
     """Matching with canonical rank r among the C_n matchings on 2n points."""
+    return from_dyck(_unrank_word(n, r))
+
+
+def _unrank_word(n: int, r: int) -> str:
     total = _catalan(n)
     if not 0 <= r < total:
         raise ValueError(f"rank {r} out of range 0..{total - 1}")
@@ -146,7 +171,7 @@ def unrank(n: int, r: int) -> Matching:
             r -= below
         out.append("D")
         d -= 1
-    return from_dyck("".join(out))
+    return "".join(out)
 
 
 def _advance(w: list[str], n: int) -> bool:
@@ -177,7 +202,7 @@ def dyck_words(n: int, start_rank: int = 0) -> Iterator[str]:
     if n < 1:
         raise ValueError("n must be >= 1")
     if start_rank:
-        w = list(to_dyck(unrank(n, start_rank)))
+        w = list(_unrank_word(n, start_rank))
     else:
         w = ["U"] * n + ["D"] * n
     while True:
@@ -257,7 +282,8 @@ def bits_to_symmetric(n: int, bits: str) -> Matching:
             partner[p] = q
             partner[q] = p
     m = Matching._from_partner(n, partner)
-    assert symmetric_to_bits(m) == bits
+    if symmetric_to_bits(m) != bits:
+        raise VerificationError(f"decoding {bits!r} does not round-trip")
     return m
 
 

@@ -5,13 +5,19 @@ pair of opposite sides.  A flip is "centered" when the quadrilateral
 contains the circle center, decided here by the exact integer criterion:
 the four side lengths sum to n-2 (any smaller sum means non-centered; a
 center on the quadrilateral boundary still counts as centered).
+
+On balanced words a flip is a transposition of two letters, so the rank
+of every neighbour follows from the current rank in O(1); flip_cells
+below is the one kernel that graph builds and the rainbow search use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .chords import Chord, Matching, chord_length, make_chord
+from .dyck import _d_terms
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,76 @@ def _forest_pairs(n: int, partner) -> list[tuple[Chord, Chord]]:
                 pairs.append((group[i], group[j]))
     pairs.sort()
     return pairs
+
+
+@lru_cache(maxsize=None)
+def _span_lengths(n: int) -> tuple[int, ...]:
+    # chord_length by span b - a, for spans 1..2n-1
+    return (0,) + tuple(min(s - 1, 2 * n - s - 1) // 2
+                        for s in range(1, 2 * n))
+
+
+def flip_cells(n: int, word: str, rank: int,
+               centered_only: bool = False) -> list[tuple]:
+    """(target rank, centered, a, b, c, d) for each flip of a balanced word.
+
+    (a, b) and (c, d), a < c, are the two chords that leave, as 1-based
+    points; word must be a balanced word of length 2n and rank its rank.
+    centered_only drops the other flips.  The list is unordered.
+
+    Flippable pairs are parent-child and sibling pairs of the nesting
+    forest (see _forest_pairs).  With p1 < p2 < p3 < p4 the endpoints as
+    0-based positions, a flip transposes two letters of the word:
+      siblings (p1,p2), (p3,p4) -> (p2,p3), (p1,p4): p2 turns D->U and p3
+        U->D, and every letter strictly between them rises by 2;
+      parent (p1,p4), child (p2,p3) -> (p1,p2), (p3,p4): p2 turns U->D and
+        p3 D->U, and every letter strictly between them drops by 2.
+    The rank is the sum of c(i, h) over D positions i with height h before
+    them (dyck._d_terms), so with h_i the height before position i
+      siblings:     delta = -c(p2, h2) + c(p3, h3 + 2) + S+
+      parent-child: delta = +c(p2, h2) - c(p3, h3)     + S-
+    where S+ and S- sum c(i, h_i + 2) - c(i, h_i) and c(i, h_i - 2) - c(i, h_i)
+    over the Ds strictly between p2 and p3.  One left-to-right pass keeps
+    both as prefix sums, so S- is a difference taken when the child closes
+    and S+ splits into a part known when the first sibling closes and one
+    known when the second opens: O(1) per flip.  The flip is centered iff
+    the lengths of the four sides, looked up by span, sum to n - 2.
+    """
+    c = _d_terms(n)
+    span = _span_lengths(n)
+    stride = n + 3
+    goal = n - 2
+    out = []
+    # open chords: (opener, its index into c, S+ and S- prefixes at the
+    # opener, closed children as (p1, p2, sibling part, parent-child delta))
+    stack: list[tuple] = [(0, 0, 0, 0, [])]
+    k = su = sd = 0             # k = i * stride + height before position i
+    for i, ch in enumerate(word):
+        if ch == "U":
+            stack.append((i, k, su, sd, []))
+            k += stride + 1
+            continue
+        j, kj, su_j, sd_j, kids = stack.pop()
+        ck = c[k]
+        side = span[i - j]
+        for p2, p3, _, delta in kids:
+            cen = side + span[p2 - j] + span[p3 - p2] + span[i - p3] == goal
+            if cen or not centered_only:
+                out.append((rank + delta, cen, j + 1, i + 1, p2 + 1, p3 + 1))
+        siblings = stack[-1][4]
+        opened = c[kj + 2] + su_j
+        for p1, p2, closed, _ in siblings:
+            cen = (side + span[p2 - p1] + span[j - p2] + span[i - p1]) == goal
+            if cen or not centered_only:
+                out.append((rank + closed + opened, cen,
+                            p1 + 1, p2 + 1, j + 1, i + 1))
+        delta = c[kj] - ck + sd - sd_j
+        # c(i, h - 2) only counts inside a child, where h >= 3
+        su += c[k + 2] - ck
+        sd += c[k - 2] - ck
+        siblings.append((j, i, -ck - su, delta))
+        k += stride - 1
+    return out
 
 
 def flippable_pairs(m: Matching) -> list[tuple[Chord, Chord]]:

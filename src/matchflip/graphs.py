@@ -16,59 +16,18 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .chords import chord_length, is_centrally_symmetric, weight
-from .dyck import (_partner_from_word, _suffix_counts, dyck_words, rank,
-                   to_dyck, unrank)
+from .chords import is_centrally_symmetric, weight
+from .dyck import dyck_words, rank, to_dyck, unrank
 from .errors import ResourceLimitError
-from .flips import _forest_pairs, _in_chords
+from .flips import flip_cells
 
 MODES = ("all", "centered")
-
-
-def _partner_rank(n: int, partner, t) -> int:
-    u = d = n
-    r = 0
-    for x in range(1, 2 * n + 1):
-        if partner[x] > x:
-            u -= 1
-        else:
-            if u:
-                r += t[u - 1][d]
-            d -= 1
-    return r
-
-
-def _neighbor_cells(n: int, partner, mode: str, t) -> list[tuple[int, bool]]:
-    """(target rank, centered) for every admitted flip, sorted by rank."""
-    cells = []
-    centered_only = mode == "centered"
-    for e, f in _forest_pairs(n, partner):
-        g, h = _in_chords(e, f)
-        cen = (chord_length(n, e) + chord_length(n, f)
-               + chord_length(n, g) + chord_length(n, h)) == n - 2
-        if centered_only and not cen:
-            continue
-        a, b = e
-        c, d = f
-        g1, g2 = g
-        h1, h2 = h
-        partner[g1] = g2
-        partner[g2] = g1
-        partner[h1] = h2
-        partner[h2] = h1
-        cells.append((_partner_rank(n, partner, t), cen))
-        partner[a] = b
-        partner[b] = a
-        partner[c] = d
-        partner[d] = c
-    cells.sort()
-    return cells
 
 
 def _chunk_rows(args) -> tuple[int, list[int], array, bytes]:
     """Adjacency rows for ranks [start, stop); multiprocessing worker."""
     n, mode, start, stop = args
-    t = _suffix_counts(n)
+    centered_only = mode == "centered"
     counts: list[int] = []
     targets = array("i")
     flags = bytearray()
@@ -76,12 +35,11 @@ def _chunk_rows(args) -> tuple[int, list[int], array, bytes]:
     for w in dyck_words(n, start):
         if r >= stop:
             break
-        partner = _partner_from_word(w)
-        cells = _neighbor_cells(n, partner, mode, t)
+        cells = flip_cells(n, w, r, centered_only)
+        cells.sort()
         counts.append(len(cells))
-        for tr, cen in cells:
-            targets.append(tr)
-            flags.append(cen)
+        targets.extend([cell[0] for cell in cells])
+        flags.extend([cell[1] for cell in cells])
         r += 1
     return start, counts, targets, bytes(flags)
 
@@ -402,9 +360,9 @@ def diameter(g: FlipGraph, exact_limit: int = 6000, samples: int = 32,
     upper = None
     witness = None
     for s in sorted(starts):
-        ecc_s, _ = eccentricity(g, s)
         dist = bfs_distances(g, s)
         far = max(range(v), key=dist.__getitem__)
+        ecc_s = dist[far]
         if upper is None or 2 * ecc_s < upper:
             upper = 2 * ecc_s
         # sweep once more from the far end
@@ -420,8 +378,8 @@ def dot_lines(g: FlipGraph) -> Iterator[str]:
     """Graphviz form; centered flips solid, other flips dashed."""
     yield f'graph "flips_n{g.n}_{g.mode}" {{'
     yield "  node [shape=box];"
-    for r in range(g.vertex_count):
-        yield f'  {r} [label="{g.word(r)}"];'
+    for r, w in enumerate(dyck_words(g.n)):
+        yield f'  {r} [label="{w}"];'
     for r, s, cen in g.edges():
         style = "solid" if cen else "dashed"
         yield f"  {r} -- {s} [style={style}];"
@@ -443,5 +401,5 @@ def graph_json_obj(g: FlipGraph, include_words: bool = False) -> dict:
         "edges": [[r, s, int(cen)] for r, s, cen in g.edges()],
     }
     if include_words:
-        obj["words"] = [g.word(r) for r in range(g.vertex_count)]
+        obj["words"] = list(dyck_words(g.n))
     return obj

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .chords import Chord, Matching, chord_length, max_length
+from .chords import Chord, Matching, max_length
 from .counts import narayana
-from .dyck import _partner_from_word, to_dyck, unrank
-from .flips import Flip, _forest_pairs, _in_chords, apply_flip, is_centered
-from .graphs import FlipGraph, _partner_rank, build_flip_graph
-from .dyck import _suffix_counts
+from .dyck import _partner_from_word, _unrank_word, _word_rank, unrank
+from .errors import VerificationError
+from .flips import Flip, _in_chords, apply_flip, flip_cells, is_centered
+from .graphs import FlipGraph, build_flip_graph
 
 
 @lru_cache(maxsize=None)
@@ -72,36 +72,22 @@ def odd_average_certificate(n: int) -> dict:
             "max_flip_average_length": Fraction(n - 2, 4)}
 
 
-def _rotated_rank(n: int, partner: list[int], steps: int, table) -> int:
+def _rotated_rank(n: int, partner: list[int], steps: int) -> int:
     rot = [0] * (2 * n + 1)
     for x in range(1, 2 * n + 1):
         rot[(x + steps - 1) % (2 * n) + 1] = (partner[x] + steps - 1) % (2 * n) + 1
-    return _partner_rank(n, rot, table)
+    return _word_rank("".join("U" if rot[x] > x else "D"
+                              for x in range(1, 2 * n + 1)))
 
 
-def _candidates(n: int, rank_: int, table) -> list[tuple]:
+def _candidates(n: int, rank_: int) -> list[tuple]:
     """Centered flips out of one vertex: (target, in-key, out1, out2)."""
-    partner = _partner_from_word(to_dyck(unrank(n, rank_)))
     idx = _chord_index(n)
     out = []
-    for e, f in _forest_pairs(n, partner):
+    for target, _, a, b, c, d in flip_cells(n, _unrank_word(n, rank_), rank_,
+                                            centered_only=True):
+        e, f = (a, b), (c, d)
         g, h = _in_chords(e, f)
-        if (chord_length(n, e) + chord_length(n, f)
-                + chord_length(n, g) + chord_length(n, h)) != n - 2:
-            continue
-        g1, g2 = g
-        h1, h2 = h
-        partner[g1] = g2
-        partner[g2] = g1
-        partner[h1] = h2
-        partner[h2] = h1
-        target = _partner_rank(n, partner, table)
-        a, b = e
-        c, d = f
-        partner[a] = b
-        partner[b] = a
-        partner[c] = d
-        partner[d] = c
         key = tuple(sorted((idx[g], idx[h])))
         out.append((key, target, idx[e], idx[f], idx[g], idx[h], e, f))
     out.sort()
@@ -121,11 +107,10 @@ class _Search:
         self.length = length
         self.budget = budget
         self.expanded = 0
-        self.table = _suffix_counts(n)
         self.n_chords = n * n
 
     def run(self, comp: list[int]) -> tuple[list[tuple[Chord, Chord]], int] | None:
-        cand = {v: _candidates(self.n, v, self.table) for v in comp}
+        cand = {v: _candidates(self.n, v) for v in comp}
         for start in comp:
             if not self._orbit_minimal(start):
                 continue
@@ -141,8 +126,8 @@ class _Search:
 
     def _orbit_minimal(self, v: int) -> bool:
         n = self.n
-        partner = _partner_from_word(to_dyck(unrank(n, v)))
-        return all(_rotated_rank(n, partner, k, self.table) >= v
+        partner = _partner_from_word(_unrank_word(n, v))
+        return all(_rotated_rank(n, partner, k) >= v
                    for k in range(1, 2 * n))
 
     def _dfs(self, at: int, depth: int,
@@ -229,7 +214,8 @@ def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,
                 start = unrank(n, start_rank)
                 flips = _flips_of_path(start, path)
                 ok, why = verify_rainbow(n, r, start, flips)
-                assert ok, why
+                if not ok:
+                    raise VerificationError(f"found cycle fails replay: {why}")
                 return RainbowResult(n, r, "found", start=start,
                                      cycle=tuple(flips),
                                      expanded=searcher.expanded)

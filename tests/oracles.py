@@ -8,7 +8,7 @@ agreement between oracle and engine is real evidence, not a tautology.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 TOL = 1e-9
 
@@ -204,3 +204,26 @@ def brute_band_weight(word: str) -> int:
         else:
             h -= 1
     return total
+
+
+def oracle_ranks(n: int) -> dict:
+    """Rank of every matching, keyed by its sorted pairs, by brute force.
+
+    Lists every U/D string of length 2n in order (U < D), keeps the
+    balanced ones and decodes each into its chords with a stack.
+    """
+    # product yields "UD" strings in lexicographic order with U < D
+    words = [w for w in ("".join(p) for p in product("UD", repeat=2 * n))
+             if w.count("U") == n
+             and all(w[:i].count("D") <= w[:i].count("U")
+                     for i in range(1, 2 * n + 1))]
+    ranks = {}
+    for r, w in enumerate(words):
+        stack, pairs = [], []
+        for x, ch in enumerate(w, start=1):
+            if ch == "U":
+                stack.append(x)
+            else:
+                pairs.append((stack.pop(), x))
+        ranks[tuple(sorted(pairs))] = r
+    return ranks

@@ -5,7 +5,9 @@ from math import comb
 import pytest
 
 from matchflip.chords import Matching, perimeter_edge_count, perimeter_matching
+from matchflip import dyck
 from matchflip.counts import catalan
+from matchflip.errors import VerificationError
 from matchflip.dyck import (band_weight, bits_to_symmetric, dyck_words,
                             enumerate_matchings, from_dyck, peaks, rank,
                             segment_to_dyck, symmetric_to_bits, to_dyck,
@@ -153,6 +155,12 @@ def test_symmetric_bit_codec_round_trip(n):
     assert set(sym) == seen
     for m in sym:
         assert bits_to_symmetric(n, symmetric_to_bits(m)) == m
+
+
+def test_symmetric_decoding_self_check_raises(monkeypatch):
+    monkeypatch.setattr(dyck, "symmetric_to_bits", lambda m: "0101")
+    with pytest.raises(VerificationError):
+        bits_to_symmetric(4, "1100")
 
 
 def test_symmetric_bit_codec_rejections():

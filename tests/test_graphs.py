@@ -1,5 +1,7 @@
 """Flip graph construction, traversal, diameter, and export formats."""
 
+import hashlib
+import sys
 from array import array
 
 import pytest
@@ -13,6 +15,7 @@ from matchflip.graphs import (FlipGraph, bfs_distance, bfs_distances,
                               csv_lines, diameter, dot_lines, eccentricity,
                               graph_json_obj)
 
+import oracles
 from conftest import cached_graph
 
 
@@ -26,6 +29,67 @@ def test_adjacency_matches_per_matching_neighbors(n, mode):
         expected = sorted(g.rank_of(nb) for nb in neighbors(m, mode=mode))
         assert list(g.neighbors(r)) == expected
         assert g.degree(r) == len(expected)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_rows_match_brute_force_repairings(n):
+    # re-pairings, centeredness and ranks all come from the oracles
+    ranks = oracles.oracle_ranks(n)
+    g = cached_graph(n, "all")
+    h = cached_graph(n, "centered")
+    assert g.vertex_count == h.vertex_count == len(ranks)
+    for pairs, r in ranks.items():
+        row = sorted(
+            (ranks[tuple(sorted([c for c in pairs if c not in (e, f)]
+                                + [gg, hh]))],
+             oracles.oracle_centered(n, e, f))
+            for (e, f), (gg, hh)
+            in oracles.oracle_flippable_pairs(n, pairs).items())
+        assert list(g.neighbors(r)) == [s for s, _ in row]
+        assert list(g.neighbor_flags(r)) == [int(cen) for _, cen in row]
+        assert list(h.neighbors(r)) == [s for s, cen in row if cen]
+        assert set(h.neighbor_flags(r)) <= {1}
+
+
+# sha256 prefixes of the little-endian offsets ("q"), targets ("i") and
+# flags bytes, recorded from the earlier build_flip_graph, which re-ranked
+# every flipped partner array in full (_partner_rank), before the
+# rank-delta kernel replaced it
+_CSR_DIGESTS = {
+    ("all", 2): ("ab25350e3e65efeb", "7c9fa136d4413fa6", "9dcf97a184f32623"),
+    ("all", 3): ("ec8174b810bb33b9", "bd5844fa9d4efe03", "3ee5f0d83bf791f0"),
+    ("all", 4): ("1bfd6bab54fc7651", "3a7eb7a4fc25fd70", "200cf4729d918486"),
+    ("all", 5): ("46146100c0e1dd85", "bc5ebb19fd2b8243", "e2fd93ed0fc6df72"),
+    ("all", 6): ("496fa0045fccafb4", "66903382f5d58182", "0c04a648a7608983"),
+    ("all", 7): ("4d8ad38d74707cf6", "e16c20a00404ed85", "fe99f8f7f3f42f8a"),
+    ("all", 8): ("3f47fec5344dbc57", "cb144bb77fac8a94", "512477f6cb5e6cd2"),
+    ("all", 9): ("04941baa613b1616", "417478e4e91f2545", "54f2f690367868a0"),
+    ("all", 10): ("5d39402eccbd12d5", "6e64e9c7a00d67b1", "c0cc6aba24b917a4"),
+    ("centered", 2): ("ab25350e3e65efeb", "7c9fa136d4413fa6", "9dcf97a184f32623"),
+    ("centered", 3): ("ec8174b810bb33b9", "bd5844fa9d4efe03", "3ee5f0d83bf791f0"),
+    ("centered", 4): ("38945f8592d74025", "d63f660a1ccd9d10", "5b8b4d29020ea5b1"),
+    ("centered", 5): ("1f3dc5889d27ebaa", "b1d4975c7214c69d", "89ae85497a48890d"),
+    ("centered", 6): ("f5a5225e57263307", "15514f7f5335d022", "98df7ad86eb96679"),
+    ("centered", 7): ("3e1aebde7c673ab4", "115f11d2639ef869", "ddafcf6fa8c46c12"),
+    ("centered", 8): ("39de22a8ee3b79b2", "fb821cf646c31871", "51dab7014a653c69"),
+    ("centered", 9): ("16c7e11301da5da1", "1a8552906b1c3684", "427f59b2a12bd0dc"),
+    ("centered", 10): ("e6e4784c3a74b03b", "3161713019500d36", "fad1e0cf8c58ce71"),
+}
+
+
+def _le_digest(data) -> str:
+    if isinstance(data, array) and sys.byteorder == "big":
+        data = array(data.typecode, data)
+        data.byteswap()
+    return hashlib.sha256(bytes(data)).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("mode, n", sorted(_CSR_DIGESTS))
+def test_csr_bytes_are_pinned(mode, n):
+    g = cached_graph(n, mode)
+    assert (g.offsets.itemsize, g.targets.itemsize) == (8, 4)
+    got = tuple(_le_digest(x) for x in (g.offsets, g.targets, g.flags))
+    assert got == _CSR_DIGESTS[(mode, n)]
 
 
 @pytest.mark.parametrize("n", range(2, 7))

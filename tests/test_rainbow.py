@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from matchflip import rainbow
 from matchflip.chords import chord_length
+from matchflip.cli import EXIT_MISMATCH, main
+from matchflip.errors import VerificationError
 from matchflip.flips import Flip
 from matchflip.graphs import build_flip_graph
 from matchflip.rainbow import (admissible_chords, find_rainbow_cycle,
@@ -77,6 +80,15 @@ def test_found_double_visit_cycle():
     assert res.length == 36
     ok, why = verify_rainbow(6, 2, res.start, res.cycle)
     assert ok, why
+
+
+def test_failed_replay_of_found_cycle_raises(monkeypatch, capsys):
+    # an explicit check, so it holds under python -O as well
+    monkeypatch.setattr(rainbow, "verify_rainbow", lambda *a: (False, "x"))
+    with pytest.raises(VerificationError):
+        find_rainbow_cycle(6, 2)
+    assert main(["rainbow", "--n", "6", "--r", "2"]) == EXIT_MISMATCH
+    assert capsys.readouterr().out == ""
 
 
 def test_exhaustive_none_even():

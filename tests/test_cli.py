@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,9 @@ import sys
 import pytest
 
 from matchflip.cli import main
+from matchflip.graphs import MODES, diameter
+
+from conftest import cached_graph
 
 
 def run(capsys, *argv):
@@ -230,3 +234,98 @@ def test_module_invocation_works():
          "--format", "table"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "2\n"
+
+
+# Golden output: per (subcommand, n) the first 16 hex digits of the sha256
+# over argv, exit code and stdout of every allowed --format (times --mode
+# for the commands that build a graph), recorded before the traversals
+# were merged into one BFS kernel.  ("rainbow", 5) also covers a forced
+# search.
+_FORMATS = {"enumerate": ("table", "csv", "json"),
+            "graph": ("json", "dot", "csv", "table"),
+            "stats": ("json", "table", "csv"),
+            "diameter": ("json", "table"),
+            "counts": ("json", "table", "csv"),
+            "verify": ("json", "table"),
+            "rainbow": ("json", "table")}
+
+_GOLDEN_DIGESTS = {
+    ("counts", 2): "12252733f4143e98",
+    ("counts", 3): "958dba82f9a55211",
+    ("counts", 4): "a5189cd6c4989518",
+    ("counts", 5): "9fe00b0593297e30",
+    ("counts", 6): "2904ccf5907f4baa",
+    ("counts", 7): "84cdc2a676f82d18",
+    ("diameter", 2): "cf4729f25c598e59",
+    ("diameter", 3): "d96fa1c29c75bf07",
+    ("diameter", 4): "bba995263d9d0e8a",
+    ("diameter", 5): "bf51a2c7c3b630b3",
+    ("diameter", 6): "f290a358f1ded85c",
+    ("diameter", 7): "72dbced74536551e",
+    ("enumerate", 2): "9735ec2426f60982",
+    ("enumerate", 3): "64a2badfa962d97a",
+    ("enumerate", 4): "e512ee5c9a495136",
+    ("enumerate", 5): "6d213ce237288271",
+    ("enumerate", 6): "f311bb166b25158a",
+    ("enumerate", 7): "e357bdbb83400cd1",
+    ("graph", 2): "80a5afc3804f6698",
+    ("graph", 3): "570014423c8b2257",
+    ("graph", 4): "28d962f5c0b04c6c",
+    ("graph", 5): "8aeabce76edebe45",
+    ("graph", 6): "1eae12e1bf5eacd7",
+    ("graph", 7): "b0912f6567e17105",
+    ("rainbow", 2): "17e4e5b2323904aa",
+    ("rainbow", 3): "777b093447e503e1",
+    ("rainbow", 4): "a3e4d39a3f374f49",
+    ("rainbow", 5): "05c4d37160683047",
+    ("rainbow", 6): "4bcfec133ae3b23b",
+    ("rainbow", 7): "fc362ca241ccbfae",
+    ("stats", 2): "f29b9868d325dd26",
+    ("stats", 3): "845ec3ad06b45b23",
+    ("stats", 4): "26e687c6bffa8746",
+    ("stats", 5): "cf844d56ea5b772b",
+    ("stats", 6): "fd3b2a0479c4e67b",
+    ("stats", 7): "fe997eb7e5ac534b",
+    ("verify", 2): "958ec99cff3b1e4b",
+    ("verify", 3): "fb126e75640baf8a",
+    ("verify", 4): "d5cba678610feb19",
+    ("verify", 5): "18cfd7e8bacd611c",
+    ("verify", 6): "3dbf5e36d0db0b10",
+    ("verify", 7): "c08cfeb457a63474",
+}
+
+
+def _golden_argvs(command, n):
+    modes = MODES if command in ("graph", "stats", "diameter") else (None,)
+    extras = [["--r", "1"], ["--r", "2"]] if command == "rainbow" else [[]]
+    for mode in modes:
+        for fmt in _FORMATS[command]:
+            for extra in extras:
+                argv = [command, "--n", str(n), "--format", fmt, *extra]
+                yield argv + (["--mode", mode] if mode else [])
+    if (command, n) == ("rainbow", 5):
+        yield ["rainbow", "--n", "5", "--r", "2", "--force-search"]
+
+
+def _golden_digest(capsys, command, n):
+    h = hashlib.sha256()
+    for argv in _golden_argvs(command, n):
+        code, out, _ = run(capsys, *argv)
+        h.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("command, n", sorted(_GOLDEN_DIGESTS))
+def test_cli_output_is_pinned(capsys, command, n):
+    assert _golden_digest(capsys, command, n) == _GOLDEN_DIGESTS[command, n]
+
+
+# the bounds path of diameter, which no CLI command reaches at n <= 7
+_BOUNDS = {s: (6, 12, (6, 0)) for s in range(4)}
+
+
+@pytest.mark.parametrize("seed", sorted(_BOUNDS))
+def test_diameter_bounds_are_pinned(seed):
+    res = diameter(cached_graph(7, "all"), exact_limit=10, samples=8,
+                   seed=seed)
+    assert (res.lower, res.upper, res.witness) == _BOUNDS[seed]

@@ -13,13 +13,14 @@ import os
 import sys
 from fractions import Fraction
 
-from .chords import visible_edges
+from .chords import perimeter_matching, visible_edges
 from .construct import canonical_flip_sequence, perimeter_swap_path
 from .counts import (CountReport, CountRow, catalan, class_partition_size,
                      component_size_fraction, perimeter_class_size,
                      predicted_extremes, verify_counts, weight_class_size)
 from .dyck import enumerate_matchings, to_dyck
 from .errors import BudgetExceededError, ResourceLimitError, VerificationError
+from .flips import replay
 from .graphs import (MODES, build_flip_graph, component_report, csv_lines,
                      diameter, dot_lines, graph_json_obj)
 from .rainbow import find_rainbow_cycle
@@ -332,14 +333,18 @@ def _structure_rows(args) -> list[CountRow]:
         rows.append(CountRow("perimeter swap path length",
                              3 * n - 7, len(path)))
         if n <= 9:
+            # counted only when replayed here, so that construct's own
+            # asserts are not the proof (they vanish under python -O)
+            ends = (perimeter_matching(n), perimeter_matching(n, True))
             ok = 0
             for m in enumerate_matchings(n):
                 try:
                     seq = canonical_flip_sequence(m)
+                    ok += (len(seq) <= 4 * n - 11
+                           and all(fl.centered for fl in seq)
+                           and replay(m, seq) in ends)
                 except (AssertionError, ValueError):
-                    continue
-                if len(seq) <= 4 * n - 11:
-                    ok += 1
+                    pass
             rows.append(CountRow("canonical sequences valid",
                                  h.vertex_count, ok))
         if n in _SMALL_DIAMETERS:

@@ -11,15 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, pi, sqrt
 
-from .chords import (is_centrally_symmetric, max_length, perimeter_edge_count,
-                     weight)
-from .dyck import band_weight, dyck_words, enumerate_matchings, peaks
-
-
-def catalan(n: int) -> int:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return comb(2 * n, n) // (n + 1)
+from .chords import (Matching, is_centrally_symmetric, max_length,
+                     perimeter_edge_count, weight)
+from .dyck import _partner_from_word, band_weight, catalan, dyck_words, peaks
 
 
 def narayana(r: int, n: int, k: int) -> int:
@@ -167,7 +161,7 @@ class CountReport:
 
 
 def verify_counts(n: int) -> CountReport:
-    """Compare every closed form against a full enumeration pass."""
+    """Compare every closed form against one full enumeration pass."""
     if n < 2:
         raise ValueError("n must be >= 2")
     total = 0
@@ -177,14 +171,15 @@ def verify_counts(n: int) -> CountReport:
     weight_hist: dict[int, int] = {}
     perim_hist = [0] * (n + 1)
     even = n % 2 == 0
-    for m in enumerate_matchings(n):
+    for w in dyck_words(n):
+        m = Matching._from_partner(n, _partner_from_word(w))
         total += 1
         if is_centrally_symmetric(m):
             n_symmetric += 1
         if even:
-            weight_hist[weight(m)] = weight_hist.get(weight(m), 0) + 1
+            wt = weight(m)
+            weight_hist[wt] = weight_hist.get(wt, 0) + 1
             perim_hist[perimeter_edge_count(m)] += 1
-    for w in dyck_words(n):
         bw_hist[band_weight(w)] += 1
         peak_hist[peaks(w)] += 1
 

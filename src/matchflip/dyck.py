@@ -20,14 +20,16 @@ from .errors import VerificationError
 _PAREN = str.maketrans("()", "UD")
 
 
-def _catalan(n: int) -> int:
+def catalan(n: int) -> int:
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return comb(2 * n, n) // (n + 1)
 
 
 def normalize_word(word: str) -> str:
     """Accept either the U/D or the ()-alphabet; return U/D."""
     w = word.translate(_PAREN)
-    if any(ch not in "UD" for ch in w):
+    if w.strip("UD"):
         raise ValueError(f"not a balanced word: {word!r}")
     return w
 
@@ -155,7 +157,7 @@ def unrank(n: int, r: int) -> Matching:
 
 
 def _unrank_word(n: int, r: int) -> str:
-    total = _catalan(n)
+    total = catalan(n)
     if not 0 <= r < total:
         raise ValueError(f"rank {r} out of range 0..{total - 1}")
     t = _suffix_counts(n)
@@ -174,25 +176,21 @@ def _unrank_word(n: int, r: int) -> str:
     return "".join(out)
 
 
-def _advance(w: list[str], n: int) -> bool:
-    """Replace w in place with its lexicographic successor; False at the end."""
-    h = 0
-    d_used = 0
-    height_before = [0] * len(w)
-    d_before = [0] * len(w)
-    for i, ch in enumerate(w):
-        height_before[i] = h
-        d_before[i] = d_used
-        if ch == "U":
-            h += 1
-        else:
-            h -= 1
-            d_used += 1
+def _advance(w: list[str]) -> bool:
+    """Replace w in place with its lexicographic successor; False at the end.
+
+    The rightmost U with height >= 1 before it (more Ds than Us from it on)
+    becomes a D, and the rest is refilled smallest first: amortised O(1)
+    per word (Knuth, TAOCP 4A, 7.2.1.6).
+    """
+    u = d = 0
     for i in range(len(w) - 1, -1, -1):
-        if w[i] == "U" and height_before[i] >= 1 and d_before[i] < n:
-            u_rem = n - (i - d_before[i])
-            d_rem = n - d_before[i] - 1
-            w[i:] = ["D"] + ["U"] * u_rem + ["D"] * d_rem
+        if w[i] == "D":
+            d += 1
+            continue
+        u += 1
+        if d > u:
+            w[i:] = ["D"] + ["U"] * u + ["D"] * (d - 1)
             return True
     return False
 
@@ -207,7 +205,7 @@ def dyck_words(n: int, start_rank: int = 0) -> Iterator[str]:
         w = ["U"] * n + ["D"] * n
     while True:
         yield "".join(w)
-        if not _advance(w, n):
+        if not _advance(w):
             return
 
 
@@ -218,7 +216,7 @@ def enumerate_matchings(n: int, start_rank: int = 0,
     The stream may be split by rank ranges: [start_rank, stop_rank) of the
     full order, so disjoint ranges partition the enumeration deterministically.
     """
-    count = _catalan(n) if stop_rank is None else stop_rank
+    count = catalan(n) if stop_rank is None else stop_rank
     r = start_rank
     for w in dyck_words(n, start_rank):
         if r >= count:

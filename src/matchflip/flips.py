@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .chords import Chord, Matching, chord_length, make_chord
-from .dyck import _d_terms
+from .dyck import _d_terms, to_dyck
 
 
 @dataclass(frozen=True)
@@ -222,11 +222,6 @@ def replay(m: Matching, flips) -> Matching:
     return cur
 
 
-def _word(m: Matching) -> str:
-    p = m._partner
-    return "".join("U" if p[x] > x else "D" for x in range(1, 2 * m.n + 1))
-
-
 def neighbors(m: Matching, mode: str = "all") -> list[Matching]:
     """Matchings one flip away, in canonical (balanced-word) rank order.
 
@@ -242,5 +237,5 @@ def neighbors(m: Matching, mode: str = "all") -> list[Matching]:
         in1, in2 = _in_chords(e, f)
         pairs = [c for c in m.pairs if c != e and c != f] + [in1, in2]
         out.append(Matching(n, pairs))
-    out.sort(key=_word)
+    out.sort(key=to_dyck)
     return out

@@ -13,11 +13,10 @@ import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator
 
 from .chords import is_centrally_symmetric, weight
-from .dyck import dyck_words, rank, to_dyck, unrank
+from .dyck import _unrank_word, catalan, dyck_words, rank, unrank
 from .errors import ResourceLimitError
 from .flips import flip_cells
 
@@ -45,7 +44,7 @@ def _chunk_rows(args) -> tuple[int, list[int], array, bytes]:
 
 
 def _estimate_bytes(n: int) -> int:
-    v = comb(2 * n, n) // (n + 1)
+    v = catalan(n)
     # every vertex has < 2n flippable pairs; 5 bytes per stored arc end
     return 8 * (v + 1) + 5 * 2 * n * v
 
@@ -105,7 +104,7 @@ class FlipGraph:
         return unrank(self.n, r)
 
     def word(self, r: int) -> str:
-        return to_dyck(unrank(self.n, r))
+        return _unrank_word(self.n, r)
 
     def rank_of(self, m) -> int:
         if m.n != self.n:
@@ -132,24 +131,9 @@ class FlipGraph:
         Ties on size break by smallest contained rank, so the order is
         deterministic.
         """
-        v = self.vertex_count
-        seen = bytearray(v)
-        comps = []
-        for s in range(v):
-            if seen[s]:
-                continue
-            seen[s] = 1
-            queue = [s]
-            head = 0
-            while head < len(queue):
-                x = queue[head]
-                head += 1
-                for y in self.targets[self.offsets[x]:self.offsets[x + 1]]:
-                    if not seen[y]:
-                        seen[y] = 1
-                        queue.append(y)
-            queue.sort()
-            comps.append(queue)
+        dist = array("i", [-1]) * self.vertex_count
+        comps = [sorted(_bfs(self, s, dist))
+                 for s in range(self.vertex_count) if dist[s] < 0]
         comps.sort(key=lambda c: (-len(c), c[0]))
         return comps
 
@@ -157,28 +141,16 @@ class FlipGraph:
         return sum(self.degree(r) for r in comp) // 2
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        return -1 not in bfs_distances(self, 0)
 
     def is_bipartite(self) -> bool:
-        v = self.vertex_count
-        color = bytearray(v)  # 0 unseen, 1/2 the two sides
-        for s in range(v):
-            if color[s]:
-                continue
-            color[s] = 1
-            queue = [s]
-            head = 0
-            while head < len(queue):
-                x = queue[head]
-                head += 1
-                cx = color[x]
-                for y in self.targets[self.offsets[x]:self.offsets[x + 1]]:
-                    if not color[y]:
-                        color[y] = 3 - cx
-                        queue.append(y)
-                    elif color[y] == cx:
-                        return False
-        return True
+        # an odd cycle exists iff some edge joins two BFS distances of
+        # equal parity
+        dist = array("i", [-1]) * self.vertex_count
+        for s in range(self.vertex_count):
+            if dist[s] < 0:
+                _bfs(self, s, dist)
+        return all((dist[a] - dist[b]) % 2 for a, b, _ in self.edges())
 
 
 def component_report(g: FlipGraph) -> list[dict]:
@@ -228,7 +200,7 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
         raise ResourceLimitError(
             f"graph for n={n} needs an estimated {_estimate_bytes(n)} bytes, "
             f"over the budget of {mem_budget}")
-    v = comb(2 * n, n) // (n + 1)
+    v = catalan(n)
     offsets = array("q", [0])
     targets = array("i")
     flags = bytearray()
@@ -252,51 +224,41 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
     return FlipGraph(n, mode, offsets, targets, bytes(flags))
 
 
-def bfs_distances(g: FlipGraph, src: int) -> array:
-    """Distance from src to every vertex; -1 where unreachable."""
-    dist = array("i", [-1] * g.vertex_count)
+def _bfs(g: FlipGraph, src: int, dist: array) -> list[int]:
+    """Visit order of a BFS from src; the one traversal loop.
+
+    dist is caller-owned, -1 meaning unseen; the BFS fills in the distance
+    from src of every vertex it reaches and skips vertices already seen.
+    """
+    off, tg = g.offsets, g.targets
     dist[src] = 0
     queue = [src]
-    head = 0
-    off, tg = g.offsets, g.targets
-    while head < len(queue):
-        x = queue[head]
-        head += 1
+    for x in queue:
         dx = dist[x] + 1
         for y in tg[off[x]:off[x + 1]]:
             if dist[y] < 0:
                 dist[y] = dx
                 queue.append(y)
+    return queue
+
+
+def bfs_distances(g: FlipGraph, src: int) -> array:
+    """Distance from src to every vertex; -1 where unreachable."""
+    dist = array("i", [-1]) * g.vertex_count
+    _bfs(g, src, dist)
     return dist
 
 
 def bfs_distance(g: FlipGraph, src: int, dst: int) -> int | None:
     """Flip distance between two ranks, None if in different components."""
-    if src == dst:
-        return 0
-    dist = array("i", [-1] * g.vertex_count)
-    dist[src] = 0
-    queue = [src]
-    head = 0
-    off, tg = g.offsets, g.targets
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        dx = dist[x] + 1
-        for y in tg[off[x]:off[x + 1]]:
-            if dist[y] < 0:
-                if y == dst:
-                    return dx
-                dist[y] = dx
-                queue.append(y)
-    return None
+    d = bfs_distances(g, src)[dst]
+    return d if d >= 0 else None
 
 
 def bfs_layers(g: FlipGraph, src: int) -> list[list[int]]:
     """Vertices grouped by distance from src, each layer sorted."""
     dist = bfs_distances(g, src)
-    depth = max(dist)
-    layers: list[list[int]] = [[] for _ in range(depth + 1)]
+    layers: list[list[int]] = [[] for _ in range(max(dist) + 1)]
     for r, d in enumerate(dist):
         if d >= 0:
             layers[d].append(r)
@@ -305,15 +267,16 @@ def bfs_layers(g: FlipGraph, src: int) -> list[list[int]]:
 
 def eccentricity(g: FlipGraph, src: int) -> tuple[int, int]:
     """(max distance over the component of src, component size)."""
+    dist = array("i", [-1]) * g.vertex_count
+    order = _bfs(g, src, dist)
+    return dist[order[-1]], len(order)
+
+
+def _farthest(g: FlipGraph, src: int) -> tuple[int, int]:
+    # (eccentricity of src, the smallest rank at that distance)
     dist = bfs_distances(g, src)
-    ecc = 0
-    reached = 0
-    for d in dist:
-        if d >= 0:
-            reached += 1
-            if d > ecc:
-                ecc = d
-    return ecc, reached
+    ecc = max(dist)
+    return ecc, dist.index(ecc)
 
 
 @dataclass(frozen=True)
@@ -337,20 +300,16 @@ def diameter(g: FlipGraph, exact_limit: int = 6000, samples: int = 32,
     v = g.vertex_count
     if v == 0:
         raise ValueError("empty graph")
-    first = bfs_distances(g, 0)
-    if min(first) < 0:
+    if not g.is_connected():
         return DiameterResult(False, True, None, None, None, None)
     if v == 1:
         return DiameterResult(True, True, 0, 0, 0, (0, 0))
     if v <= exact_limit:
         best = -1
-        witness = (0, 0)
         for s in range(v):
-            dist = first if s == 0 else bfs_distances(g, s)
-            far = max(range(v), key=dist.__getitem__)
-            if dist[far] > best:
-                best = dist[far]
-                witness = (s, far)
+            ecc, far = _farthest(g, s)
+            if ecc > best:
+                best, witness = ecc, (s, far)
         return DiameterResult(True, True, best, best, best, witness)
     # bounds only: double sweep from rank 0 and from sampled starts
     rng = random.Random(seed)
@@ -360,17 +319,13 @@ def diameter(g: FlipGraph, exact_limit: int = 6000, samples: int = 32,
     upper = None
     witness = None
     for s in sorted(starts):
-        dist = bfs_distances(g, s)
-        far = max(range(v), key=dist.__getitem__)
-        ecc_s = dist[far]
-        if upper is None or 2 * ecc_s < upper:
-            upper = 2 * ecc_s
+        ecc, far = _farthest(g, s)
+        if upper is None or 2 * ecc < upper:
+            upper = 2 * ecc
         # sweep once more from the far end
-        dist2 = bfs_distances(g, far)
-        far2 = max(range(v), key=dist2.__getitem__)
-        if dist2[far2] > lower:
-            lower = dist2[far2]
-            witness = (far, far2)
+        ecc2, far2 = _farthest(g, far)
+        if ecc2 > lower:
+            lower, witness = ecc2, (far, far2)
     return DiameterResult(True, False, None, lower, upper, witness)
 
 

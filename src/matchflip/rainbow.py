@@ -201,8 +201,9 @@ def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,
         raise ValueError("graph must be the centered flip graph for this n")
     searcher = _Search(n, r, length, budget)
     searched_any = False
+    comps = g.components()
     try:
-        for comp in g.components():
+        for comp in comps:
             if len(comp) < length:
                 continue
             if g.component_edge_count(comp) == len(comp) - 1:
@@ -225,7 +226,7 @@ def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,
         return RainbowResult(n, r, "none", "exhausted",
                              expanded=searcher.expanded)
     # nothing was searchable: every component with a cycle is too small
-    largest_cyclic = max((len(c) for c in g.components()
+    largest_cyclic = max((len(c) for c in comps
                           if g.component_edge_count(c) >= len(c)), default=0)
     return RainbowResult(n, r, "none", "component-size",
                          {"required_length": length,

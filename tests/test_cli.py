@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from matchflip import cli
 from matchflip.cli import main
 from matchflip.graphs import MODES, diameter
 
@@ -186,6 +187,30 @@ def test_verify_passes(capsys, n):
     assert code == 0
     assert obj["ok"] is True
     assert all(row["ok"] for row in obj["rows"])
+
+
+def test_short_canonical_sequence_fails_verify(capsys, monkeypatch):
+    # a sequence that stops one flip early is short enough but does not
+    # reach an all-perimeter matching
+    real = cli.canonical_flip_sequence
+    monkeypatch.setattr(cli, "canonical_flip_sequence",
+                        lambda m: real(m)[:-1])
+    code, out, _ = run(capsys, "verify", "--n", "5")
+    assert code == 2
+    row, = [r for r in json.loads(out)["rows"]
+            if r["name"] == "canonical sequences valid"]
+    assert row["enumerated"] < row["predicted"]
+
+
+@pytest.mark.parametrize("argv", [["verify", "--n", "7"],
+                                  ["rainbow", "--n", "6", "--r", "2"]])
+def test_optimized_python_prints_the_same_bytes(argv):
+    # python -O strips asserts; no printed result may depend on them
+    procs = [subprocess.run([sys.executable, *flags, "-m", "matchflip.cli",
+                             *argv], capture_output=True, text=True)
+             for flags in ([], ["-O"])]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert procs[0].stdout == procs[1].stdout
 
 
 def test_verify_table(capsys):

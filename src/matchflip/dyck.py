@@ -18,6 +18,7 @@ from .chords import (Chord, Matching, is_centrally_symmetric,
 from .errors import VerificationError
 
 _PAREN = str.maketrans("()", "UD")
+_SWAP = str.maketrans("UD", "DU")
 
 
 def catalan(n: int) -> int:
@@ -142,6 +143,25 @@ def _word_rank(w: str) -> int:
                 r += t[u - 1][d]
             d -= 1
     return r
+
+
+def orbit_ranks(w: str, mirrors: bool = True) -> Iterator[int]:
+    """Ranks of the 2n rotations of w's matching, then of its mirror's.
+
+    Rotation k turns the matching clockwise by k points (k = 0 is w
+    itself); the mirror's word is w reversed with U and D swapped.  Lazy,
+    with repeats; mirrors=False stops after the rotations.
+    """
+    n2 = len(w)
+    words = (w, w[::-1].translate(_SWAP)) if mirrors else (w,)
+    for word in words:
+        partner = _partner_from_word(word)
+        for k in range(n2):
+            rot = [0] * (n2 + 1)
+            for x in range(1, n2 + 1):
+                rot[(x + k - 1) % n2 + 1] = (partner[x] + k - 1) % n2 + 1
+            yield _word_rank("".join("U" if rot[x] > x else "D"
+                                     for x in range(1, n2 + 1)))
 
 
 def rank(m: Matching | str) -> int:

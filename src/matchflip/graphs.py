@@ -13,10 +13,11 @@ import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Iterator
 
 from .chords import is_centrally_symmetric, weight
-from .dyck import _unrank_word, catalan, dyck_words, rank, unrank
+from .dyck import _unrank_word, catalan, dyck_words, orbit_ranks, rank, unrank
 from .errors import ResourceLimitError
 from .flips import flip_cells
 
@@ -141,7 +142,7 @@ class FlipGraph:
         return sum(self.degree(r) for r in comp) // 2
 
     def is_connected(self) -> bool:
-        return -1 not in bfs_distances(self, 0)
+        return eccentricity(self, 0)[1] == self.vertex_count
 
     def is_bipartite(self) -> bool:
         # an odd cycle exists iff some edge joins two BFS distances of
@@ -224,7 +225,7 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
     return FlipGraph(n, mode, offsets, targets, bytes(flags))
 
 
-def _bfs(g: FlipGraph, src: int, dist: array) -> list[int]:
+def _bfs(g: FlipGraph, src: int, dist: array | list[int]) -> list[int]:
     """Visit order of a BFS from src; the one traversal loop.
 
     dist is caller-owned, -1 meaning unseen; the BFS fills in the distance
@@ -242,9 +243,9 @@ def _bfs(g: FlipGraph, src: int, dist: array) -> list[int]:
     return queue
 
 
-def bfs_distances(g: FlipGraph, src: int) -> array:
-    """Distance from src to every vertex; -1 where unreachable."""
-    dist = array("i", [-1]) * g.vertex_count
+def bfs_distances(g: FlipGraph, src: int) -> list[int]:
+    """Distance from src to every vertex as a list; -1 where unreachable."""
+    dist = [-1] * g.vertex_count    # ~25% faster BFS than on array("i")
     _bfs(g, src, dist)
     return dist
 
@@ -291,27 +292,39 @@ class DiameterResult:
 
 def diameter(g: FlipGraph, exact_limit: int = 6000, samples: int = 32,
              seed: int = 0) -> DiameterResult:
-    """Graph diameter; exact via all-pairs BFS up to exact_limit vertices.
+    """Graph diameter; exact up to exact_limit vertices, else bounds.
 
-    Larger graphs get deterministic bounds: lower from double sweeps and
-    sampled eccentricities, upper as twice the smallest eccentricity seen.
-    A disconnected graph has infinite diameter (value None).
+    Rotations and mirrors act on every flip graph by automorphisms, so
+    eccentricity is constant on their orbits: exact mode runs one BFS from
+    the smallest rank of each orbit, in rank order, and keeps the first
+    maximum.  The witness is the smallest rank of maximum eccentricity
+    (the minimum of its orbit) and the smallest rank farthest from it.
+    Larger graphs get deterministic bounds with one BFS per distinct
+    source: lower from double sweeps from sampled starts, upper as twice
+    the smallest eccentricity seen.  A disconnected graph has infinite
+    diameter (value None).  g must be a whole flip graph (C_n vertices).
     """
     v = g.vertex_count
-    if v == 0:
-        raise ValueError("empty graph")
+    if v != catalan(g.n):
+        raise ValueError(f"{v} vertices is not a flip graph of n={g.n}")
     if not g.is_connected():
         return DiameterResult(False, True, None, None, None, None)
     if v == 1:
         return DiameterResult(True, True, 0, 0, 0, (0, 0))
     if v <= exact_limit:
         best = -1
-        for s in range(v):
+        seen = bytearray(v)
+        for s, w in enumerate(dyck_words(g.n)):
+            if seen[s]:
+                continue
+            for r in orbit_ranks(w):
+                seen[r] = 1
             ecc, far = _farthest(g, s)
             if ecc > best:
                 best, witness = ecc, (s, far)
         return DiameterResult(True, True, best, best, best, witness)
     # bounds only: double sweep from rank 0 and from sampled starts
+    farthest = lru_cache(maxsize=None)(partial(_farthest, g))
     rng = random.Random(seed)
     starts = {0, v - 1}
     starts.update(rng.randrange(v) for _ in range(samples))
@@ -319,11 +332,11 @@ def diameter(g: FlipGraph, exact_limit: int = 6000, samples: int = 32,
     upper = None
     witness = None
     for s in sorted(starts):
-        ecc, far = _farthest(g, s)
+        ecc, far = farthest(s)
         if upper is None or 2 * ecc < upper:
             upper = 2 * ecc
         # sweep once more from the far end
-        ecc2, far2 = _farthest(g, far)
+        ecc2, far2 = farthest(far)
         if ecc2 > lower:
             lower, witness = ecc2, (far, far2)
     return DiameterResult(True, False, None, lower, upper, witness)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .chords import Chord, Matching, max_length
 from .counts import narayana
-from .dyck import _partner_from_word, _unrank_word, _word_rank, unrank
+from .dyck import _unrank_word, orbit_ranks, unrank
 from .errors import VerificationError
 from .flips import Flip, _in_chords, apply_flip, flip_cells, is_centered
 from .graphs import FlipGraph, build_flip_graph
@@ -72,14 +72,6 @@ def odd_average_certificate(n: int) -> dict:
             "max_flip_average_length": Fraction(n - 2, 4)}
 
 
-def _rotated_rank(n: int, partner: list[int], steps: int) -> int:
-    rot = [0] * (2 * n + 1)
-    for x in range(1, 2 * n + 1):
-        rot[(x + steps - 1) % (2 * n) + 1] = (partner[x] + steps - 1) % (2 * n) + 1
-    return _word_rank("".join("U" if rot[x] > x else "D"
-                              for x in range(1, 2 * n + 1)))
-
-
 def _candidates(n: int, rank_: int) -> list[tuple]:
     """Centered flips out of one vertex: (target, in-key, out1, out2)."""
     idx = _chord_index(n)
@@ -125,10 +117,8 @@ class _Search:
         return None
 
     def _orbit_minimal(self, v: int) -> bool:
-        n = self.n
-        partner = _partner_from_word(_unrank_word(n, v))
-        return all(_rotated_rank(n, partner, k) >= v
-                   for k in range(1, 2 * n))
+        return all(r >= v for r in orbit_ranks(_unrank_word(self.n, v),
+                                                mirrors=False))
 
     def _dfs(self, at: int, depth: int,
              appear: list[int], vanish: list[int]) -> bool:

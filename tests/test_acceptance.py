@@ -82,7 +82,7 @@ def test_criterion_04_connectivity_and_diameters():
         res9 = diameter(h9)
         assert res9.exact and res9.value == 20
         assert time.perf_counter() - t0 < 1800.0
-        for n in range(3, 9):
+        for n in range(3, 10):
             res = diameter(cached_graph(n, "all"))
             assert res.exact and res.value == n - 1
         for n in range(2, 9):

@@ -4,16 +4,28 @@ from math import comb
 
 import pytest
 
-from matchflip.chords import Matching, perimeter_edge_count, perimeter_matching
+from matchflip.chords import (Matching, mirror, perimeter_edge_count,
+                              perimeter_matching, rotate)
 from matchflip import dyck
 from matchflip.counts import catalan
 from matchflip.errors import VerificationError
 from matchflip.dyck import (band_weight, bits_to_symmetric, dyck_words,
-                            enumerate_matchings, from_dyck, peaks, rank,
-                            segment_to_dyck, symmetric_to_bits, to_dyck,
-                            unrank, validate_word)
+                            enumerate_matchings, from_dyck, orbit_ranks,
+                            peaks, rank, segment_to_dyck, symmetric_to_bits,
+                            to_dyck, unrank, validate_word)
 
 from oracles import brute_band_weight, brute_peaks, is_noncrossing
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_orbit_ranks_are_the_dihedral_images(n):
+    for r, m in enumerate(enumerate_matchings(n)):
+        w = to_dyck(m)
+        rotations = [rank(rotate(m, k)) for k in range(2 * n)]
+        mirrored = [rank(rotate(mirror(m), k)) for k in range(2 * n)]
+        assert list(orbit_ranks(w, mirrors=False)) == rotations
+        assert list(orbit_ranks(w)) == rotations + mirrored
+        assert rotations[0] == r
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -258,6 +258,69 @@ def test_diameter_bounds_mode_is_deterministic():
         again.lower, again.upper, again.witness)
 
 
+def _all_pairs_diameter(g):
+    # (value, witness) from one BFS per vertex; (None, None) if disconnected
+    best, witness = -1, None
+    for s in range(g.vertex_count):
+        dist = bfs_distances(g, s)
+        if -1 in dist:
+            return None, None
+        ecc = max(dist)
+        if ecc > best:
+            best, witness = ecc, (s, dist.index(ecc))
+    return best, witness
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("mode", ["all", "centered"])
+def test_diameter_matches_all_pairs_bfs(n, mode):
+    g = cached_graph(n, mode)
+    res = diameter(g)
+    value, witness = _all_pairs_diameter(g)
+    assert res.exact and (res.value, res.witness) == (value, witness)
+    if value is not None:
+        b = diameter(g, exact_limit=1, samples=4)
+        assert b.lower <= value <= b.upper
+        assert bfs_distance(g, *b.witness) == b.lower
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("mode", ["all", "centered"])
+def test_analysis_matches_networkx(n, mode):
+    nx = pytest.importorskip("networkx")
+    g = cached_graph(n, mode)
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.vertex_count))
+    ng.add_edges_from((r, s) for r, s, _ in g.edges())
+    comps = sorted((sorted(c) for c in nx.connected_components(ng)),
+                   key=lambda c: (-len(c), c[0]))
+    assert g.components() == comps
+    assert g.is_bipartite() == nx.is_bipartite(ng)
+    res = diameter(g)
+    assert res.connected == nx.is_connected(ng)
+    if res.connected:
+        assert res.value == nx.diameter(ng)
+        assert nx.shortest_path_length(ng, *res.witness) == res.value
+
+
+# computed by the all-pairs BFS that orbit reduction replaced
+_N9_DIAMETERS = {"centered": (20, (2806, 4861)), "all": (8, (0, 8))}
+
+
+@pytest.mark.parametrize("mode", sorted(_N9_DIAMETERS))
+def test_n9_diameters_are_pinned(mode):
+    res = diameter(cached_graph(9, mode))
+    assert res.exact and (res.value, res.witness) == _N9_DIAMETERS[mode]
+
+
+def test_diameter_rejects_a_graph_that_is_not_a_flip_graph():
+    # the triangle of test_bipartite_rejects_odd_cycle: 3 vertices, n = 1
+    triangle = FlipGraph(1, "all", array("q", [0, 2, 4, 6]),
+                         array("i", [1, 2, 0, 2, 0, 1]), bytes(6))
+    with pytest.raises(ValueError, match="not a flip graph"):
+        diameter(triangle)
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_flip_graph_is_bipartite(n):
     assert cached_graph(n, "all").is_bipartite()

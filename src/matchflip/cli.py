@@ -12,17 +12,18 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .chords import perimeter_matching, visible_edges
 from .construct import canonical_flip_sequence, perimeter_swap_path
 from .counts import (CountReport, CountRow, catalan, class_partition_size,
                      component_size_fraction, perimeter_class_size,
                      predicted_extremes, verify_counts, weight_class_size)
-from .dyck import enumerate_matchings, to_dyck
+from .dyck import dyck_words, enumerate_matchings, to_dyck
 from .errors import BudgetExceededError, ResourceLimitError, VerificationError
 from .flips import replay
 from .graphs import (MODES, build_flip_graph, component_report, csv_lines,
-                     diameter, dot_lines, graph_json_obj)
+                     diameter, dot_lines)
 from .rainbow import find_rainbow_cycle
 
 EXIT_OK = 0
@@ -119,22 +120,43 @@ def _dump(obj) -> str:
                       default=_json_default) + "\n"
 
 
-def _write_text(path, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _batched(items):
+    it = iter(items)
+    while batch := list(islice(it, 4096)):
+        yield batch
 
 
-def _write_lines(path, lines) -> None:
+def _lines(lines):
+    """Line formats as text chunks, a few thousand lines per chunk."""
+    for batch in _batched(lines):
+        yield "\n".join(batch) + "\n"
+
+
+def _graph_json(g):
+    """`_dump(graph_json_obj(g, include_words=True))` as text chunks, with
+    edges from the CSR and words from one `dyck_words` stream."""
+    def array(items):
+        sep = "["
+        for batch in _batched(items):
+            yield sep + "\n" + ",\n".join(batch)
+            sep = ","
+        yield "[]" if sep == "[" else "\n  ]"
+    yield f'{{\n  "edge_count": {g.edge_count},\n  "edges": '
+    yield from array(f"    [\n      {r},\n      {s},\n      {int(cen)}\n    ]"
+                     for r, s, cen in g.edges())
+    yield (f',\n  "mode": {json.dumps(g.mode)},\n  "n": {g.n},\n'
+           f'  "vertex_count": {g.vertex_count},\n  "words": ')
+    yield from array(f'    "{w}"' for w in dyck_words(g.n))
+    yield "\n}\n"
+
+
+def _write(path, chunks) -> None:
+    """Write text chunks to stdout, or to the file at path."""
     if path is None:
-        for line in lines:
-            sys.stdout.write(line + "\n")
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            fh.writelines(chunks)
 
 
 def _pick_fmt(args, default: str, allowed: tuple[str, ...]) -> str:
@@ -155,16 +177,16 @@ def cmd_enumerate(args) -> int:
         rows = [{"rank": i, "pairs": [list(p) for p in m.pairs],
                  "word": to_dyck(m)}
                 for i, m in enumerate(enumerate_matchings(n))]
-        _write_text(args.out, _dump(rows))
+        _write(args.out, [_dump(rows)])
         return EXIT_OK
     if fmt == "csv":
         def gen():
             yield "rank,pairs,word"
             for i, m in enumerate(enumerate_matchings(n)):
                 yield f'{i},"{m.to_text()}",{to_dyck(m)}'
-        _write_lines(args.out, gen())
+        _write(args.out, _lines(gen()))
         return EXIT_OK
-    _write_lines(args.out, (f"{m.to_text()} {to_dyck(m)}"
+    _write(args.out, _lines(f"{m.to_text()} {to_dyck(m)}"
                             for m in enumerate_matchings(n)))
     return EXIT_OK
 
@@ -174,19 +196,19 @@ def cmd_graph(args) -> int:
     g = build_flip_graph(args.n, args.mode, threads=args.threads,
                          mem_budget=args.mem_budget)
     if fmt == "dot":
-        _write_lines(args.out, dot_lines(g))
+        _write(args.out, _lines(dot_lines(g)))
     elif fmt == "csv":
-        _write_lines(args.out, csv_lines(g))
+        _write(args.out, _lines(csv_lines(g)))
     elif fmt == "table":
         ds = g.degree_summary()
-        _write_lines(args.out, [
+        _write(args.out, _lines([
             f"n {g.n}", f"mode {g.mode}",
             f"vertices {g.vertex_count}", f"edges {g.edge_count}",
             f"centered edges {g.centered_edge_count}",
             f"degree min {ds['min']} max {ds['max']}",
-            f"components {len(g.components())}"])
+            f"components {len(g.components())}"]))
     else:
-        _write_text(args.out, _dump(graph_json_obj(g, include_words=True)))
+        _write(args.out, _graph_json(g))
     return EXIT_OK
 
 
@@ -202,7 +224,7 @@ def cmd_stats(args) -> int:
             for i, c in enumerate(report):
                 yield (f"{i},{c['size']},{c['edges']},"
                        f"{int(c['is_tree'])},{c['symmetric_count']}")
-        _write_lines(args.out, gen())
+        _write(args.out, _lines(gen()))
         return EXIT_OK
     obj = {"n": g.n, "mode": g.mode, "vertices": g.vertex_count,
            "edges": g.edge_count, "degrees": g.degree_summary(),
@@ -217,9 +239,9 @@ def cmd_stats(args) -> int:
             lines.append(f"  component {i}: {c['size']} vertices, "
                          f"{c['edges']} edges, {kind}, "
                          f"{c['symmetric_count']} symmetric")
-        _write_lines(args.out, lines)
+        _write(args.out, _lines(lines))
     else:
-        _write_text(args.out, _dump(obj))
+        _write(args.out, [_dump(obj)])
     return EXIT_OK
 
 
@@ -239,9 +261,9 @@ def cmd_diameter(args) -> int:
            "lower": res.lower, "upper": res.upper,
            "witness": list(res.witness) if res.witness else None}
     if fmt == "table":
-        _write_lines(args.out, [display])
+        _write(args.out, _lines([display]))
     else:
-        _write_text(args.out, _dump(obj))
+        _write(args.out, [_dump(obj)])
     return EXIT_OK
 
 
@@ -261,7 +283,7 @@ def cmd_counts(args) -> int:
         obj["max_component_fraction"] = frac
         obj["max_component_fraction_float"] = approx
     if fmt == "json":
-        _write_text(args.out, _dump(obj))
+        _write(args.out, [_dump(obj)])
         return EXIT_OK
 
     def flat():
@@ -273,10 +295,10 @@ def cmd_counts(args) -> int:
             else:
                 yield key, val
     if fmt == "csv":
-        _write_lines(args.out, ["name,value"]
-                     + [f"{k},{v}" for k, v in flat()])
+        _write(args.out, _lines(["name,value"]
+                                + [f"{k},{v}" for k, v in flat()]))
     else:
-        _write_lines(args.out, [f"{k} {v}" for k, v in flat()])
+        _write(args.out, _lines([f"{k} {v}" for k, v in flat()]))
     return EXIT_OK
 
 
@@ -299,9 +321,9 @@ def cmd_rainbow(args) -> int:
             lines.append(f"reason {res.reason}")
         if res.cycle is not None:
             lines.append(f"length {len(res.cycle)}")
-        _write_lines(args.out, lines)
+        _write(args.out, _lines(lines))
     else:
-        _write_text(args.out, _dump(obj))
+        _write(args.out, [_dump(obj)])
     return EXIT_BUDGET if res.status == "budget" else EXIT_OK
 
 
@@ -400,9 +422,9 @@ def cmd_verify(args) -> int:
     rows.extend(_structure_rows(args))
     report = CountReport(args.n, tuple(rows))
     if fmt == "table":
-        _write_lines(args.out, report.table_lines())
+        _write(args.out, _lines(report.table_lines()))
     else:
-        _write_text(args.out, _dump(report.as_json_obj()))
+        _write(args.out, [_dump(report.as_json_obj())])
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 

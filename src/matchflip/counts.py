@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, pi, sqrt
 
-from .chords import (Matching, is_centrally_symmetric, max_length,
-                     perimeter_edge_count, weight)
+from .chords import chord_length, chord_sign, max_length
 from .dyck import _partner_from_word, band_weight, catalan, dyck_words, peaks
 
 
@@ -172,14 +171,17 @@ def verify_counts(n: int) -> CountReport:
     perim_hist = [0] * (n + 1)
     even = n % 2 == 0
     for w in dyck_words(n):
-        m = Matching._from_partner(n, _partner_from_word(w))
+        partner = _partner_from_word(w)
         total += 1
-        if is_centrally_symmetric(m):
+        # fixed by the half turn: every partner shifts with its point
+        if all(partner[a + n] == (partner[a] + n - 1) % (2 * n) + 1
+               for a in range(1, n + 1)):
             n_symmetric += 1
         if even:
-            wt = weight(m)
+            chords = [(a, b) for a, b in enumerate(partner) if a < b]
+            wt = sum(chord_sign(n, e) * chord_length(n, e) for e in chords)
             weight_hist[wt] = weight_hist.get(wt, 0) + 1
-            perim_hist[perimeter_edge_count(m)] += 1
+            perim_hist[sum(chord_length(n, e) == 0 for e in chords)] += 1
         bw_hist[band_weight(w)] += 1
         peak_hist[peaks(w)] += 1
 

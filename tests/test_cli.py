@@ -9,7 +9,7 @@ import pytest
 
 from matchflip import cli
 from matchflip.cli import main
-from matchflip.graphs import MODES, diameter
+from matchflip.graphs import MODES, diameter, graph_json_obj
 
 from conftest import cached_graph
 
@@ -227,6 +227,37 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     code, out, _ = run(capsys, "graph", "--n", "4", "--out", str(path))
     assert code == 0 and out == ""
     assert path.read_text(encoding="utf-8") == stdout_text
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("mode", MODES)
+def test_streamed_graph_json_matches_dump(n, mode):
+    # n = 1 has no edges ("edges": []); n >= 8 is beyond the golden digests
+    g = cached_graph(n, mode)
+    assert ("".join(cli._graph_json(g))
+            == cli._dump(graph_json_obj(g, include_words=True)))
+
+
+_PEAK_RSS = """
+import resource, sys
+from matchflip.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_graph_json_peak_memory_matches_table():
+    # the JSON export streams, so it needs no more memory than the table
+    peak_kib = {}
+    for fmt in ("json", "table"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, "graph", "--n", "10",
+             "--mode", "all", "--threads", "1", "--format", fmt],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 0
+        peak_kib[fmt] = int(proc.stderr.split()[-1])
+    assert peak_kib["json"] <= peak_kib["table"] + 5 * 1024
 
 
 def test_output_is_deterministic(capsys):

@@ -21,7 +21,7 @@ from .counts import (CountReport, CountRow, catalan, class_partition_size,
 from .dyck import (band_weight, bits_to_symmetric, dyck_words,
                    enumerate_matchings, from_dyck, peaks, rank,
                    segment_to_dyck, symmetric_to_bits, to_dyck, unrank)
-from .errors import BudgetExceededError, ResourceLimitError, VerificationError
+from .errors import ResourceLimitError, VerificationError
 from .flips import (Flip, apply_flip, flippable_pairs, is_centered,
                     make_flip, neighbors, replay)
 from .graphs import (DiameterResult, FlipGraph, bfs_distance, bfs_distances,
@@ -35,9 +35,9 @@ from .rainbow import (RainbowResult, admissible_chords, find_rainbow_cycle,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceededError", "Chord", "CountReport", "CountRow",
-    "DiameterResult", "Flip", "FlipGraph", "Matching", "RainbowResult",
-    "ResourceLimitError", "VerificationError", "admissible_chords",
+    "Chord", "CountReport", "CountRow", "DiameterResult", "Flip",
+    "FlipGraph", "Matching", "RainbowResult", "ResourceLimitError",
+    "VerificationError", "admissible_chords",
     "antipodal", "apply_flip", "band_weight", "bfs_distance",
     "bfs_distances", "bfs_layers", "bits_to_symmetric",
     "build_flip_graph", "canonical_flip_sequence", "catalan",

@@ -3,18 +3,17 @@
 Two constructions: a reduction that walks any matching down to one of the
 two all-perimeter matchings in at most 4n-11 centered flips, and a direct
 path of exactly 3n-7 centered flips between the two all-perimeter
-matchings themselves.  Every emitted flip is re-validated by the flip
-engine while the route is being built, so a returned sequence always
-replays cleanly.
+matchings themselves.  Both trust their own steps: a flip is recorded
+and applied without re-checking it, so a route is a proof only once the
+caller has replayed it with flips.replay.
 """
 
 from __future__ import annotations
 
 from .chords import (Chord, Matching, _hides_fast, chord_length,
-                     diameter_chord, opening_endpoint, perimeter_matching,
-                     visible_edges)
-from .flips import (Flip, _arc_contains, apply_flip, flippable_pairs,
-                    make_flip, replay)
+                     diameter_chord, opening_endpoint, visible_edges)
+from .errors import VerificationError
+from .flips import Flip, _arc_contains, flippable_pairs, make_flip
 
 
 def _anti(n: int, x: int) -> int:
@@ -35,6 +34,16 @@ def _sorted(a: int, b: int) -> Chord:
     return (a, b) if a < b else (b, a)
 
 
+def _step(m: Matching, e: Chord, f: Chord) -> tuple[Flip, Matching]:
+    # flip e and f of m, trusted to be a flippable pair: the two in-chords
+    # take over the four endpoints
+    fl = make_flip(m.n, e, f)
+    partner = list(m._partner)
+    for a, b in (fl.in1, fl.in2):
+        partner[a], partner[b] = b, a
+    return fl, Matching._from_partner(m.n, partner)
+
+
 def _reduce_batch(m: Matching) -> tuple[list[Flip], Matching]:
     """One visibility-increasing batch of 3 or 4 centered flips.
 
@@ -43,10 +52,10 @@ def _reduce_batch(m: Matching) -> tuple[list[Flip], Matching]:
     visible edges and again no diameter edge.
     """
     n = m.n
-    # longest edge; ties broken toward the least smaller endpoint
+    # longest edge (always visible); ties broken toward the least smaller
+    # endpoint
     a = max(m.pairs, key=lambda e: (chord_length(n, e), -e[0]))
     vis = set(visible_edges(m))
-    assert a in vis, "a longest edge is always visible"
     p = opening_endpoint(n, a)
     xstar = {_anti(n, x) for x in range(1, 2 * n + 1)
              if x not in a and _hides_fast(n, a[0], a[1], x)}
@@ -59,18 +68,20 @@ def _reduce_batch(m: Matching) -> tuple[list[Flip], Matching]:
         if pt in xstar and m.chord_at(pt) in vis:
             r = pt
             break
-    assert r is not None, "some visible edge must reach the reflected shadow"
+    if r is None:
+        raise VerificationError(
+            f"no visible edge reaches the reflected shadow of {a}")
     rstar = _anti(n, r)
     if _arc_contains(rstar, r, m.partner_of(r)):
         return _batch_core(m, a, r)
     # mirror image: run the batch on the reflected matching, reflect back
     refl_m = Matching(n, [(_refl(n, r, u), _refl(n, r, v)) for u, v in m.pairs])
     refl_flips, _ = _batch_core(refl_m, _refl_chord(n, r, a), r)
-    flips = [Flip(_refl_chord(n, r, fl.out1), _refl_chord(n, r, fl.out2),
-                  _refl_chord(n, r, fl.in1), _refl_chord(n, r, fl.in2),
-                  fl.centered)
-             for fl in refl_flips]
-    return flips, replay(m, flips)
+    flips = []
+    for rf in refl_flips:
+        fl, m = _step(m, _refl_chord(n, r, rf.out1), _refl_chord(n, r, rf.out2))
+        flips.append(fl)
+    return flips, m
 
 
 def _batch_core(m: Matching, a: Chord, r: int) -> tuple[list[Flip], Matching]:
@@ -80,18 +91,9 @@ def _batch_core(m: Matching, a: Chord, r: int) -> tuple[list[Flip], Matching]:
     p = opening_endpoint(n, a)
     q = a[0] if p == a[1] else a[1]
     rstar = _anti(n, r)
-    s = m.partner_of(r)
-    assert _arc_contains(rstar, r, s)
-    x_pts = {x for x in range(1, 2 * n + 1)
-             if x not in a and _hides_fast(n, a[0], a[1], x)}
-    aprime = m.chord_at(r)
-
-    f1 = make_flip(n, a, aprime)
-    assert f1.centered
-    m1 = apply_flip(m, a, aprime)
+    bprime = _sorted(q, m.partner_of(r))
+    f1, m1 = _step(m, a, m.chord_at(r))
     b = _sorted(p, r)
-    bprime = _sorted(q, s)
-    assert b in m1 and bprime in m1
 
     # edges straddling the axis through r; all live in the shadow of a and
     # form a nested chain around the antipode of r
@@ -99,46 +101,18 @@ def _batch_core(m: Matching, a: Chord, r: int) -> tuple[list[Flip], Matching]:
                 if r not in e and rstar not in e
                 and _arc_contains(r, rstar, e[0]) != _arc_contains(r, rstar, e[1])]
     crossing.sort(key=lambda e: -chord_length(n, e))
-    for e in crossing:
-        assert e[0] in x_pts and e[1] in x_pts
-    for outer, inner in zip(crossing, crossing[1:]):
-        assert _hides_fast(n, outer[0], outer[1], inner[0])
 
     if not crossing:
-        c = m1.chord_at(rstar)
-        t = c[0] if c[1] == rstar else c[1]
-        assert t in x_pts and _arc_contains(r, rstar, t)
-        f2 = make_flip(n, b, c)
-        assert f2.centered
-        m2 = apply_flip(m1, b, c)
-        dprime = _sorted(r, rstar)
-        assert dprime in m2 and _sorted(p, t) in m2
-        f3 = make_flip(n, dprime, bprime)
-        assert f3.centered
-        m3 = apply_flip(m2, dprime, bprime)
-        assert aprime in m3 and _sorted(q, rstar) in m3
+        f2, m2 = _step(m1, b, m1.chord_at(rstar))
+        f3, m3 = _step(m2, _sorted(r, rstar), bprime)
         return [f1, f2, f3], m3
 
     c = crossing[0]
-    t = opening_endpoint(n, c)
-    u = c[0] if t == c[1] else c[1]
-    f2 = make_flip(n, b, c)
-    assert f2.centered
-    m2 = apply_flip(m1, b, c)
-    dprime = _sorted(r, u)
-    assert dprime in m2 and _sorted(p, t) in m2
+    u = c[0] if opening_endpoint(n, c) == c[1] else c[1]
+    f2, m2 = _step(m1, b, c)
     e_edge = crossing[1] if len(crossing) > 1 else m2.chord_at(rstar)
-    v = opening_endpoint(n, e_edge)
-    w = e_edge[0] if v == e_edge[1] else e_edge[1]
-    f3 = make_flip(n, dprime, e_edge)
-    assert f3.centered
-    m3 = apply_flip(m2, dprime, e_edge)
-    fprime = _sorted(r, v)
-    assert fprime in m3 and _sorted(u, w) in m3
-    f4 = make_flip(n, fprime, bprime)
-    assert f4.centered
-    m4 = apply_flip(m3, fprime, bprime)
-    assert aprime in m4 and _sorted(q, v) in m4
+    f3, m3 = _step(m2, _sorted(r, u), e_edge)
+    f4, m4 = _step(m3, _sorted(r, opening_endpoint(n, e_edge)), bprime)
     return [f1, f2, f3, f4], m4
 
 
@@ -147,7 +121,8 @@ def canonical_flip_sequence(m: Matching) -> list[Flip]:
 
     At most 4n-11 flips: one to remove a center edge if present, then
     batches of at most 4 that each gain a visible edge.  Which of the two
-    all-perimeter matchings is reached depends on m.
+    all-perimeter matchings is reached depends on m.  The flips are not
+    re-checked here: callers prove the route by replaying it from m.
     """
     n = m.n
     if n % 2 == 0:
@@ -158,25 +133,15 @@ def canonical_flip_sequence(m: Matching) -> list[Flip]:
     cur = m
     diam = diameter_chord(cur)
     if diam is not None:
-        other = None
-        for e, f in flippable_pairs(cur):
-            if diam in (e, f):
-                other = f if e == diam else e
-                break
-        assert other is not None
-        fl = make_flip(n, diam, other)
-        assert fl.centered, "every flip of a center edge is centered"
-        cur = apply_flip(cur, diam, other)
-        assert diameter_chord(cur) is None
+        other = next((f if e == diam else e for e, f in flippable_pairs(cur)
+                      if diam in (e, f)), None)
+        if other is None:
+            raise VerificationError(f"center edge {diam} has no flip")
+        fl, cur = _step(cur, diam, other)
         seq.append(fl)
     while any(chord_length(n, e) > 0 for e in cur.pairs):
-        before = len(visible_edges(cur))
         batch, cur = _reduce_batch(cur)
         seq.extend(batch)
-        assert len(visible_edges(cur)) > before
-        assert diameter_chord(cur) is None
-    assert cur in (perimeter_matching(n), perimeter_matching(n, shifted=True))
-    assert len(seq) <= 4 * n - 11
     return seq
 
 
@@ -187,37 +152,27 @@ def _lift_chord(n: int, e: Chord) -> Chord:
     return _sorted(lift(e[0]), lift(e[1]))
 
 
-def perimeter_swap_path(n: int, _verify: bool = True) -> list[Flip]:
+def perimeter_swap_path(n: int) -> list[Flip]:
     """Exactly 3n-7 centered flips from one all-perimeter matching to the
     other; odd n only.
 
     Three flips park the pair on points 1,2 and n+1,n+2, the instance two
     sizes smaller is solved recursively in between, and three flips undo
-    the parking with the opposite alignment.
+    the parking with the opposite alignment.  Nothing is replayed here:
+    callers prove the path by replaying it from perimeter_matching(n).
     """
     if n % 2 == 0:
         raise ValueError("the path is defined for odd n only")
     if n < 3:
         raise ValueError("n must be >= 3")
     if n == 3:
-        seq = [make_flip(3, (1, 2), (3, 4)), make_flip(3, (1, 4), (5, 6))]
-    else:
-        opening = [make_flip(n, (1, 2), (n, n + 1)),
-                   make_flip(n, (1, n + 1), (n + 2, n + 3)),
-                   make_flip(n, (1, n + 3), (2, n))]
-        lifted = []
-        for fl in perimeter_swap_path(n - 2, _verify=False):
-            lf = make_flip(n, _lift_chord(n, fl.out1), _lift_chord(n, fl.out2))
-            assert {lf.in1, lf.in2} == {_lift_chord(n, fl.in1),
-                                        _lift_chord(n, fl.in2)}
-            lifted.append(lf)
-        closing = [make_flip(n, (n + 1, n + 2), (3, 2 * n)),
-                   make_flip(n, (1, 2), (n + 2, 2 * n)),
-                   make_flip(n, (3, n + 1), (2, n + 2))]
-        seq = opening + lifted + closing
-    assert len(seq) == 3 * n - 7
-    assert all(fl.centered for fl in seq)
-    if _verify:
-        end = replay(perimeter_matching(n), seq)
-        assert end == perimeter_matching(n, shifted=True)
-    return seq
+        return [make_flip(3, (1, 2), (3, 4)), make_flip(3, (1, 4), (5, 6))]
+    lifted = [make_flip(n, _lift_chord(n, fl.out1), _lift_chord(n, fl.out2))
+              for fl in perimeter_swap_path(n - 2)]
+    return ([make_flip(n, (1, 2), (n, n + 1)),
+             make_flip(n, (1, n + 1), (n + 2, n + 3)),
+             make_flip(n, (1, n + 3), (2, n))]
+            + lifted
+            + [make_flip(n, (n + 1, n + 2), (3, 2 * n)),
+               make_flip(n, (1, 2), (n + 2, 2 * n)),
+               make_flip(n, (3, n + 1), (2, n + 2))])

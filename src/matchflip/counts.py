@@ -13,6 +13,7 @@ from math import comb, pi, sqrt
 
 from .chords import chord_length, chord_sign, max_length
 from .dyck import _partner_from_word, band_weight, catalan, dyck_words, peaks
+from .errors import VerificationError
 
 
 def narayana(r: int, n: int, k: int) -> int:
@@ -26,7 +27,8 @@ def narayana(r: int, n: int, k: int) -> int:
         raise ValueError(f"k={k} out of range 1..{n - r}")
     value, rem = divmod((r + 1) * comb(n + 1, k) * comb(n - r - 1, k - 1),
                         n + 1)
-    assert rem == 0
+    if rem:
+        raise VerificationError(f"narayana({r}, {n}, {k}) is not whole")
     return value
 
 
@@ -41,7 +43,8 @@ def weight_class_size(n: int, c: int) -> int:
     if abs(c) > n - 2:
         raise ValueError(f"|c| must be at most {n - 2}")
     value = narayana(1, n, abs(c) + 1)
-    assert value % 2 == 0
+    if value % 2:
+        raise VerificationError(f"narayana(1, {n}, {abs(c) + 1}) is odd")
     return value // 2
 
 

@@ -1,16 +1,13 @@
 """Error types shared across the package.
 
 The CLI maps these onto its exit-code contract: verification mismatches
-exit 2, exhausted search budgets exit 3, memory/resource refusals exit 4.
+exit 2, memory/resource refusals exit 4.  An exhausted search budget is a
+result (rainbow status "budget", exit 3), not an error.
 """
 
 
 class VerificationError(Exception):
     """A predicted quantity disagreed with an enumerated one."""
-
-
-class BudgetExceededError(Exception):
-    """A search or computation ran out of its configured budget."""
 
 
 class ResourceLimitError(Exception):

@@ -18,7 +18,8 @@ from .chords import Chord, Matching, max_length
 from .counts import narayana
 from .dyck import _unrank_word, orbit_ranks, unrank
 from .errors import VerificationError
-from .flips import Flip, _in_chords, apply_flip, flip_cells, is_centered
+from .flips import (Flip, _in_chords, apply_flip, flip_cells, is_centered,
+                    make_flip)
 from .graphs import FlipGraph, build_flip_graph
 
 
@@ -203,7 +204,7 @@ def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,
             if hit is not None:
                 path, start_rank = hit
                 start = unrank(n, start_rank)
-                flips = _flips_of_path(start, path)
+                flips = [make_flip(n, e, f) for e, f in path]
                 ok, why = verify_rainbow(n, r, start, flips)
                 if not ok:
                     raise VerificationError(f"found cycle fails replay: {why}")
@@ -222,17 +223,6 @@ def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,
                          {"required_length": length,
                           "largest_cyclic_component": largest_cyclic},
                          expanded=searcher.expanded)
-
-
-def _flips_of_path(start: Matching,
-                   path: list[tuple[Chord, Chord]]) -> list[Flip]:
-    flips = []
-    cur = start
-    for e, f in path:
-        fl = Flip(e, f, *_in_chords(e, f), is_centered(cur.n, e, f))
-        cur = apply_flip(cur, e, f)
-        flips.append(fl)
-    return flips
 
 
 def verify_rainbow(n: int, r: int, start: Matching,

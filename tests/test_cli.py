@@ -1,14 +1,17 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from matchflip import cli
 from matchflip.cli import main
+from matchflip.dyck import enumerate_matchings, to_dyck
 from matchflip.graphs import MODES, diameter, graph_json_obj
 
 from conftest import cached_graph
@@ -202,6 +205,29 @@ def test_short_canonical_sequence_fails_verify(capsys, monkeypatch):
     assert row["enumerated"] < row["predicted"]
 
 
+def test_reversed_swap_path_fails_verify(capsys, monkeypatch):
+    # same length and only centered flips, but it starts at the other
+    # all-perimeter matching, so only a replay can tell
+    real = cli.perimeter_swap_path
+    monkeypatch.setattr(cli, "perimeter_swap_path",
+                        lambda n: [fl.reversed() for fl in reversed(real(n))])
+    code, out, _ = run(capsys, "verify", "--n", "5")
+    assert code == 2
+    row, = [r for r in json.loads(out)["rows"]
+            if r["name"] == "perimeter swap path length"]
+    assert not row["ok"]
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so none may carry a check
+    src = Path(cli.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 @pytest.mark.parametrize("argv", [["verify", "--n", "7"],
                                   ["rainbow", "--n", "6", "--r", "2"]])
 def test_optimized_python_prints_the_same_bytes(argv):
@@ -238,6 +264,16 @@ def test_streamed_graph_json_matches_dump(n, mode):
             == cli._dump(graph_json_obj(g, include_words=True)))
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_streamed_enumerate_json_matches_dump(capsys, n):
+    rows = [{"rank": i, "pairs": [list(p) for p in m.pairs],
+             "word": to_dyck(m)}
+            for i, m in enumerate(enumerate_matchings(n))]
+    code, out, _ = run(capsys, "enumerate", "--n", str(n), "--format", "json")
+    assert code == 0
+    assert out == cli._dump(rows)
+
+
 _PEAK_RSS = """
 import resource, sys
 from matchflip.cli import main
@@ -254,6 +290,34 @@ def test_graph_json_peak_memory_matches_table():
         proc = subprocess.run(
             [sys.executable, "-c", _PEAK_RSS, "graph", "--n", "10",
              "--mode", "all", "--threads", "1", "--format", fmt],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 0
+        peak_kib[fmt] = int(proc.stderr.split()[-1])
+    assert peak_kib["json"] <= peak_kib["table"] + 5 * 1024
+
+
+# VmHWM belongs to the process image, so unlike ru_maxrss it does not
+# carry over the peak of the test process that spawned it
+_PEAK_HWM = """
+import sys
+from matchflip.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(*[ln.split()[1] for ln in fh if ln.startswith("VmHWM")],
+          file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs /proc/self/status")
+def test_enumerate_json_peak_memory_matches_table():
+    # one row is encoded at a time, so JSON needs no more than the table
+    peak_kib = {}
+    for fmt in ("json", "table"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_HWM, "enumerate", "--n", "10",
+             "--format", fmt],
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         assert proc.returncode == 0
         peak_kib[fmt] = int(proc.stderr.split()[-1])

@@ -2,13 +2,14 @@
 
 from hypothesis import given, settings, strategies as st
 
-from matchflip.chords import (chord_length, hidden_behind, mirror, rotate,
-                              visible_edges, weight)
+from matchflip.chords import (chord_length, hidden_behind, mirror,
+                              perimeter_matching, rotate, visible_edges,
+                              weight)
 from matchflip.construct import canonical_flip_sequence
 from matchflip.counts import catalan
 from matchflip.dyck import from_dyck, rank, to_dyck, unrank
 from matchflip.flips import (apply_flip, flippable_pairs, is_centered,
-                             make_flip, neighbors)
+                             make_flip, neighbors, replay)
 
 
 @st.composite
@@ -98,6 +99,9 @@ def test_reduction_stays_within_budget(m):
     seq = canonical_flip_sequence(m)
     assert len(seq) <= 4 * m.n - 11
     assert all(fl.centered for fl in seq)
+    # construct trusts its own steps; the replay is the proof
+    assert replay(m, seq) in (perimeter_matching(m.n),
+                              perimeter_matching(m.n, shifted=True))
 
 
 @common

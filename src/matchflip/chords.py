@@ -274,12 +274,16 @@ def chord_sign(n: int, e: Chord) -> int:
     return 1 if i % 2 else -1
 
 
+def _weight(n: int, partner) -> int:
+    return sum(chord_sign(n, (a, b)) * chord_length(n, (a, b))
+               for a, b in enumerate(partner) if a < b)
+
+
 def weight(m: Matching) -> int:
     """Sum of sign * length over all edges; even n only."""
-    n = m.n
-    if n % 2:
+    if m.n % 2:
         raise ValueError("weights are defined for even n only")
-    return sum(chord_sign(n, e) * chord_length(n, e) for e in m.pairs)
+    return _weight(m.n, m._partner)
 
 
 def ray_weight(m: Matching, k: int) -> int:
@@ -326,6 +330,12 @@ def mirror(m: Matching) -> Matching:
     return Matching(n, [(2 * n + 1 - b, 2 * n + 1 - a) for a, b in m.pairs])
 
 
+def _symmetric(n: int, partner) -> bool:
+    # fixed by the half turn: every partner shifts with its point
+    return all(partner[a + n] == (partner[a] + n - 1) % (2 * n) + 1
+               for a in range(1, n + 1))
+
+
 def is_centrally_symmetric(m: Matching) -> bool:
     """True iff the matching is fixed by point reflection through the center."""
-    return all(antipodal(m.n, e) in m for e in m.pairs)
+    return _symmetric(m.n, m._partner)

@@ -32,8 +32,6 @@ EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
 EXIT_RESOURCE = 4
 
-_SMALL_DIAMETERS = {3: 2, 5: 8, 7: 14}     # centered graph, odd n
-
 
 class _Usage(Exception):
     pass
@@ -363,31 +361,30 @@ def _structure_rows(args) -> list[CountRow]:
 
     if n % 2:
         rows.append(CountRow("H connected", 1, int(h.is_connected())))
-        if n <= 9:
-            good = sum(
-                1 for r in range(h.vertex_count)
-                if h.degree(r) == len(visible_edges(h.matching(r))))
-            rows.append(CountRow("H degree equals visible edges",
-                                 h.vertex_count, good))
         # construct does not check its routes; these replays are the proof
         ends = (perimeter_matching(n), perimeter_matching(n, True))
-        path = perimeter_swap_path(n)
-        rows.append(CountRow("perimeter swap path length", 3 * n - 7,
-                             len(path) if _route_ok(ends[0], path, ends[1:])
-                             else -1))
         if n <= 9:
-            ok = 0
-            for m in enumerate_matchings(n):
+            good = ok = 0
+            for r, m in enumerate(enumerate_matchings(n)):
+                good += h.degree(r) == len(visible_edges(m))
                 try:
                     seq = canonical_flip_sequence(m)
                 except (ValueError, VerificationError):
                     continue
                 ok += len(seq) <= 4 * n - 11 and _route_ok(m, seq, ends)
+            rows.append(CountRow("H degree equals visible edges",
+                                 h.vertex_count, good))
+        path = perimeter_swap_path(n)
+        rows.append(CountRow("perimeter swap path length", 3 * n - 7,
+                             len(path) if _route_ok(ends[0], path, ends[1:])
+                             else -1))
+        if n <= 9:
             rows.append(CountRow("canonical sequences valid",
                                  h.vertex_count, ok))
-        if n in _SMALL_DIAMETERS:
-            rows.append(CountRow("H diameter", _SMALL_DIAMETERS[n],
-                                 diameter(h).value))
+        # computed by exhaustive BFS for odd n = 3..11; a conjecture beyond,
+        # since the paper proves only that the diameter is linear
+        if n <= 7:
+            rows.append(CountRow("H diameter", 3 * n - 7, diameter(h).value))
     else:
         report = component_report(h)
         trees = [c for c in report if c["is_tree"]]

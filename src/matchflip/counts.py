@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, pi, sqrt
 
-from .chords import chord_length, chord_sign, max_length
+from .chords import _symmetric, _weight, max_length
 from .dyck import _partner_from_word, band_weight, catalan, dyck_words, peaks
 from .errors import VerificationError
 
@@ -176,17 +176,15 @@ def verify_counts(n: int) -> CountReport:
     for w in dyck_words(n):
         partner = _partner_from_word(w)
         total += 1
-        # fixed by the half turn: every partner shifts with its point
-        if all(partner[a + n] == (partner[a] + n - 1) % (2 * n) + 1
-               for a in range(1, n + 1)):
-            n_symmetric += 1
+        n_symmetric += _symmetric(n, partner)
+        pk = peaks(w)
         if even:
-            chords = [(a, b) for a, b in enumerate(partner) if a < b]
-            wt = sum(chord_sign(n, e) * chord_length(n, e) for e in chords)
+            wt = _weight(n, partner)
             weight_hist[wt] = weight_hist.get(wt, 0) + 1
-            perim_hist[sum(chord_length(n, e) == 0 for e in chords)] += 1
+            # the perimeter chords: one per UD factor, and (1, 2n)
+            perim_hist[pk + (partner[1] == 2 * n)] += 1
         bw_hist[band_weight(w)] += 1
-        peak_hist[peaks(w)] += 1
+        peak_hist[pk] += 1
 
     rows = [CountRow("matchings", catalan(n), total),
             CountRow("symmetric", symmetric_count(n), n_symmetric)]

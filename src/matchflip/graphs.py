@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator
 
-from .chords import is_centrally_symmetric, weight
-from .dyck import _unrank_word, catalan, dyck_words, orbit_ranks, rank, unrank
+from .chords import _symmetric, _weight
+from .dyck import (_partner_from_word, _unrank_word, catalan, dyck_words,
+                   orbit_ranks, rank, unrank)
 from .errors import ResourceLimitError
 from .flips import flip_cells
 
@@ -88,11 +89,6 @@ class FlipGraph:
         off = self.offsets
         return [off[i + 1] - off[i] for i in range(self.vertex_count)]
 
-    def has_edge(self, r: int, s: int) -> bool:
-        lo, hi = self.offsets[r], self.offsets[r + 1]
-        i = bisect_left(self.targets, s, lo, hi)
-        return i < hi and self.targets[i] == s
-
     def edges(self) -> Iterator[tuple[int, int, bool]]:
         """(src, dst, centered) with src < dst, in lexicographic order."""
         for r in range(self.vertex_count):
@@ -161,23 +157,22 @@ def component_report(g: FlipGraph) -> list[dict]:
     point classes that odd n does not have.
     """
     even = g.n % 2 == 0
+    sym = bytearray()
+    wts = array("b")
+    for w in dyck_words(g.n):
+        partner = _partner_from_word(w)
+        sym.append(_symmetric(g.n, partner))
+        if even:
+            wts.append(_weight(g.n, partner))
     report = []
     for comp in g.components():
         edges = g.component_edge_count(comp)
         row: dict = {"size": len(comp), "edges": edges,
                      "is_tree": edges == len(comp) - 1,
-                     "min_rank": comp[0]}
-        n_sym = 0
-        hist: dict[int, int] = {}
-        for r in comp:
-            m = g.matching(r)
-            if is_centrally_symmetric(m):
-                n_sym += 1
-            if even:
-                w = weight(m)
-                hist[w] = hist.get(w, 0) + 1
-        row["symmetric_count"] = n_sym
+                     "min_rank": comp[0],
+                     "symmetric_count": sum(sym[r] for r in comp)}
         if even:
+            hist = Counter(wts[r] for r in comp)
             row["weights"] = {str(w): hist[w] for w in sorted(hist)}
         report.append(row)
     return report

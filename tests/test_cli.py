@@ -274,28 +274,6 @@ def test_streamed_enumerate_json_matches_dump(capsys, n):
     assert out == cli._dump(rows)
 
 
-_PEAK_RSS = """
-import resource, sys
-from matchflip.cli import main
-code = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
-sys.exit(code)
-"""
-
-
-def test_graph_json_peak_memory_matches_table():
-    # the JSON export streams, so it needs no more memory than the table
-    peak_kib = {}
-    for fmt in ("json", "table"):
-        proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, "graph", "--n", "10",
-             "--mode", "all", "--threads", "1", "--format", fmt],
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-        assert proc.returncode == 0
-        peak_kib[fmt] = int(proc.stderr.split()[-1])
-    assert peak_kib["json"] <= peak_kib["table"] + 5 * 1024
-
-
 # VmHWM belongs to the process image, so unlike ru_maxrss it does not
 # carry over the peak of the test process that spawned it
 _PEAK_HWM = """
@@ -311,13 +289,17 @@ sys.exit(code)
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="needs /proc/self/status")
-def test_enumerate_json_peak_memory_matches_table():
-    # one row is encoded at a time, so JSON needs no more than the table
+@pytest.mark.parametrize("argv", [
+    ["graph", "--n", "10", "--mode", "all", "--threads", "1"],
+    ["enumerate", "--n", "10"],
+], ids=["graph", "enumerate"])
+def test_json_peak_memory_matches_table(argv):
+    # the JSON exports stream edges, words and rows a chunk at a time, so
+    # they need no more memory than the table
     peak_kib = {}
     for fmt in ("json", "table"):
         proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_HWM, "enumerate", "--n", "10",
-             "--format", fmt],
+            [sys.executable, "-c", _PEAK_HWM, *argv, "--format", fmt],
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         assert proc.returncode == 0
         peak_kib[fmt] = int(proc.stderr.split()[-1])

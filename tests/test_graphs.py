@@ -6,8 +6,9 @@ from array import array
 
 import pytest
 
+from matchflip.chords import rotate
 from matchflip.counts import catalan
-from matchflip.dyck import to_dyck, unrank
+from matchflip.dyck import enumerate_matchings, to_dyck, unrank
 from matchflip.errors import ResourceLimitError
 from matchflip.flips import is_centered, neighbors
 from matchflip.graphs import (FlipGraph, bfs_distance, bfs_distances,
@@ -204,6 +205,29 @@ def test_component_report_structure():
         assert len(ws) <= 2
         if len(ws) == 2:
             assert ws[1] - ws[0] == 4  # the two weights of one merged class
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("mode", ["all", "centered"])
+def test_component_report_matches_matching_oracles(n, mode):
+    # per component: symmetry as "fixed by a half turn", weights from the
+    # floating-point sign and length oracles
+    g = cached_graph(n, mode)
+    ms = list(enumerate_matchings(n))
+    report = component_report(g)
+    comps = g.components()
+    assert len(report) == len(comps)
+    for entry, comp in zip(report, comps):
+        assert entry["symmetric_count"] == sum(
+            rotate(ms[r], n) == ms[r] for r in comp)
+        if n % 2:
+            assert "weights" not in entry
+            continue
+        hist = {}
+        for r in comp:
+            w = oracles.oracle_weight(n, ms[r].pairs)
+            hist[str(w)] = hist.get(str(w), 0) + 1
+        assert entry["weights"] == hist
 
 
 def test_bfs_helpers_agree():

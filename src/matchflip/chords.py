@@ -275,8 +275,19 @@ def chord_sign(n: int, e: Chord) -> int:
 
 
 def _weight(n: int, partner) -> int:
-    return sum(chord_sign(n, (a, b)) * chord_length(n, (a, b))
-               for a, b in enumerate(partner) if a < b)
+    # chord_sign * chord_length of each chord (a, b), a < b, in closed
+    # form; at even n the span d = b - a is odd.  Below n the minority
+    # side opens at a and holds d // 2 chords; above n it opens at
+    # b = a + d, of the other parity, and holds (2n - d) // 2.
+    total = 0
+    for a, b in enumerate(partner):
+        d = b - a
+        if d > 0:
+            if d < n:
+                total += d // 2 if a % 2 else -(d // 2)
+            else:
+                total += -((2 * n - d) // 2) if a % 2 else (2 * n - d) // 2
+    return total
 
 
 def weight(m: Matching) -> int:

@@ -13,7 +13,7 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from itertools import compress
 from typing import Iterator
 
 from .chords import _symmetric, _weight
@@ -268,11 +268,56 @@ def eccentricity(g: FlipGraph, src: int) -> tuple[int, int]:
     return dist[order[-1]], len(order)
 
 
-def _farthest(g: FlipGraph, src: int) -> tuple[int, int]:
-    # (eccentricity of src, the smallest rank at that distance)
-    dist = bfs_distances(g, src)
-    ecc = max(dist)
-    return ecc, dist.index(ecc)
+def _farthest(g: FlipGraph, sources) -> dict[int, tuple[int, int]]:
+    """{source: (eccentricity, smallest rank at that distance)}.
+
+    A multi-source BFS (Then et al., PVLDB 8(4), 2014): each source is one
+    bit of a 64-bit word per vertex, so one pass over the CSR serves up to
+    64 sources; longer source lists run in batches of 64.  front[x] holds
+    the bits reaching x in the current layer and nxt collects the next;
+    bits already in seen[x] are dropped.  A source's eccentricity is the
+    last layer in which its bit is new, and its far end is the first
+    vertex, in ascending rank, where the bit is new in that layer.  Both
+    stay within the source's component.  Memory is three array("Q"), 24
+    bytes per vertex.
+    """
+    off, tg = g.offsets, g.targets
+    ranks = range(g.vertex_count)
+    front = array("Q", [0]) * len(ranks)
+    nxt = array("Q", [0]) * len(ranks)
+    out = {}
+    todo = list(dict.fromkeys(sources))
+    for at in range(0, len(todo), 64):
+        batch = todo[at:at + 64]
+        seen = array("Q", [0]) * len(ranks)
+        for i, s in enumerate(batch):
+            front[s] = 1 << i
+        ecc = [0] * len(batch)
+        far = [0] * len(batch)
+        d = 0
+        while True:
+            claimed = 0                 # bits already new in this layer
+            for x in compress(ranks, front):
+                new = front[x] & ~seen[x]
+                front[x] = 0
+                if new:
+                    seen[x] |= new
+                    first = new & ~claimed
+                    if first:
+                        claimed |= first
+                        while first:
+                            low = first & -first
+                            i = low.bit_length() - 1
+                            ecc[i], far[i] = d, x
+                            first ^= low
+                    for y in tg[off[x]:off[x + 1]]:
+                        nxt[y] |= new
+            if not claimed:
+                break                   # nothing pushed: front, nxt all 0
+            front, nxt = nxt, front
+            d += 1
+        out.update(zip(batch, zip(ecc, far)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -290,13 +335,16 @@ def diameter(g: FlipGraph, exact_limit: int = 6000, samples: int = 32,
     """Graph diameter; exact up to exact_limit vertices, else bounds.
 
     Rotations and mirrors act on every flip graph by automorphisms, so
-    eccentricity is constant on their orbits: exact mode runs one BFS from
-    the smallest rank of each orbit, in rank order, and keeps the first
-    maximum.  The witness is the smallest rank of maximum eccentricity
-    (the minimum of its orbit) and the smallest rank farthest from it.
-    Larger graphs get deterministic bounds with one BFS per distinct
-    source: lower from double sweeps from sampled starts, upper as twice
-    the smallest eccentricity seen.  A disconnected graph has infinite
+    eccentricity is constant on their orbits: exact mode takes the
+    smallest rank of each orbit, runs them through the multi-source
+    `_farthest` in rank-ordered passes of 64 sources, and keeps the first
+    maximum in rank order.  The witness is the smallest rank of maximum
+    eccentricity (the minimum of its orbit) and the smallest rank farthest
+    from it.  Larger graphs get deterministic bounds from double sweeps:
+    one pass from the sorted sampled starts, one from their far ends not
+    already swept; lower is the largest eccentricity of a far end, upper
+    twice the smallest eccentricity of a start.  Either mode holds 24
+    bytes per vertex while it sweeps.  A disconnected graph has infinite
     diameter (value None).  g must be a whole flip graph (C_n vertices).
     """
     v = g.vertex_count
@@ -307,31 +355,34 @@ def diameter(g: FlipGraph, exact_limit: int = 6000, samples: int = 32,
     if v == 1:
         return DiameterResult(True, True, 0, 0, 0, (0, 0))
     if v <= exact_limit:
-        best = -1
         seen = bytearray(v)
+        reps = []
         for s, w in enumerate(dyck_words(g.n)):
-            if seen[s]:
-                continue
-            for r in orbit_ranks(w):
-                seen[r] = 1
-            ecc, far = _farthest(g, s)
-            if ecc > best:
-                best, witness = ecc, (s, far)
-        return DiameterResult(True, True, best, best, best, witness)
+            if not seen[s]:
+                reps.append(s)
+                for r in orbit_ranks(w):
+                    seen[r] = 1
+        farthest = _farthest(g, reps)
+        s = max(reps, key=lambda r: farthest[r][0])     # the first maximum
+        best, far = farthest[s]
+        return DiameterResult(True, True, best, best, best, (s, far))
     # bounds only: double sweep from rank 0 and from sampled starts
-    farthest = lru_cache(maxsize=None)(partial(_farthest, g))
     rng = random.Random(seed)
     starts = {0, v - 1}
     starts.update(rng.randrange(v) for _ in range(samples))
+    starts = sorted(starts)
+    farthest = _farthest(g, starts)
+    farthest.update(_farthest(
+        g, [far for _, far in farthest.values() if far not in farthest]))
     lower = 0
     upper = None
     witness = None
-    for s in sorted(starts):
-        ecc, far = farthest(s)
+    for s in starts:
+        ecc, far = farthest[s]
         if upper is None or 2 * ecc < upper:
             upper = 2 * ecc
         # sweep once more from the far end
-        ecc2, far2 = farthest(far)
+        ecc2, far2 = farthest[far]
         if ecc2 > lower:
             lower, witness = ecc2, (far, far2)
     return DiameterResult(True, False, None, lower, upper, witness)

@@ -143,7 +143,7 @@ def test_visible_edges_excludes_diameter():
     assert (2, 3) in vis and (5, 6) in vis
 
 
-@pytest.mark.parametrize("n", (2, 4, 6))
+@pytest.mark.parametrize("n", (2, 4, 6, 8))
 def test_weight_against_oracle(n):
     for m in enumerate_matchings(n):
         assert weight(m) == oracles.oracle_weight(n, m.pairs), m

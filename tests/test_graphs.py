@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -11,10 +12,10 @@ from matchflip.counts import catalan
 from matchflip.dyck import enumerate_matchings, to_dyck, unrank
 from matchflip.errors import ResourceLimitError
 from matchflip.flips import is_centered, neighbors
-from matchflip.graphs import (FlipGraph, bfs_distance, bfs_distances,
-                              bfs_layers, build_flip_graph, component_report,
-                              csv_lines, diameter, dot_lines, eccentricity,
-                              graph_json_obj)
+from matchflip.graphs import (FlipGraph, _farthest, bfs_distance,
+                              bfs_distances, bfs_layers, build_flip_graph,
+                              component_report, csv_lines, diameter,
+                              dot_lines, eccentricity, graph_json_obj)
 
 import oracles
 from conftest import cached_graph
@@ -335,6 +336,54 @@ _N9_DIAMETERS = {"centered": (20, (2806, 4861)), "all": (8, (0, 8))}
 def test_n9_diameters_are_pinned(mode):
     res = diameter(cached_graph(9, mode))
     assert res.exact and (res.value, res.witness) == _N9_DIAMETERS[mode]
+
+
+# recorded from the one-BFS-per-source bounds mode; the witness order
+# follows the seed, so a wrong far-end rule shows
+_N9_BOUNDS = {("centered", 0): (20, 24, (4861, 2806)),
+              ("centered", 7): (20, 24, (4861, 2806)),
+              ("centered", 1): (20, 24, (2806, 4861)),
+              ("all", 0): (8, 16, (8, 0)),
+              ("all", 1): (8, 16, (8, 0)),
+              ("all", 7): (8, 16, (8, 0))}
+
+
+@pytest.mark.parametrize("mode, seed", sorted(_N9_BOUNDS))
+def test_n9_bounds_are_pinned(mode, seed):
+    res = diameter(cached_graph(9, mode), exact_limit=1, seed=seed)
+    assert not res.exact
+    assert (res.lower, res.upper, res.witness) == _N9_BOUNDS[mode, seed]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("mode", ["all", "centered"])
+def test_multi_source_farthest_matches_single_bfs(n, mode):
+    g = cached_graph(n, mode)
+    v = g.vertex_count
+    for k in (1, 64, 65):
+        # 17 is coprime to C_n for n <= 8, so the list is unsorted, covers
+        # min(k, C_n) vertices, and 65 sources cross a batch from n = 6 on
+        sources = [(v - 1 - 17 * i) % v for i in range(k)]
+        want = {}
+        for s in sources:
+            dist = bfs_distances(g, s)      # -1 outside s's component
+            want[s] = (max(dist), dist.index(max(dist)))
+        assert _farthest(g, sources) == want
+        assert _farthest(g, sources + sources[:1]) == want
+
+
+@pytest.mark.parametrize("exact_limit", [6000, 1])
+def test_diameter_memory_per_vertex(exact_limit):
+    # the kernel's three array("Q") take 24 bytes per vertex; with lists
+    # of Python ints in their place the peak here is 103-114
+    g = cached_graph(9, "all")
+    tracemalloc.start()
+    try:
+        diameter(g, exact_limit=exact_limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * g.vertex_count
 
 
 def test_diameter_rejects_a_graph_that_is_not_a_flip_graph():

@@ -92,7 +92,15 @@ class _Budget(Exception):
 
 
 class _Search:
-    """Depth-first search for one fixed (n, r) over one component."""
+    """Depth-first search for one fixed (n, r) over one component.
+
+    How often each admissible chord has vanished (fields 0..n^2-1) and
+    appeared (fields n^2..2n^2-1) is packed into one int, w =
+    r.bit_length() + 1 bits per field.  Every field starts at
+    2^(w-1) - 1 - r, so a count above r sets its top bit and one
+    (state + inc) & guard tests all four chords of a flip.  A flip adds at
+    most 1 to a field whose top bit is clear, so no carry crosses fields.
+    """
 
     def __init__(self, n: int, r: int, length: int, budget: int):
         self.n = n
@@ -100,60 +108,68 @@ class _Search:
         self.length = length
         self.budget = budget
         self.expanded = 0
-        self.n_chords = n * n
 
     def run(self, comp: list[int]) -> tuple[list[tuple[Chord, Chord]], int] | None:
-        cand = {v: _candidates(self.n, v) for v in comp}
-        for start in comp:
-            if not self._orbit_minimal(start):
-                continue
-            appear = [0] * self.n_chords
-            vanish = [0] * self.n_chords
-            self.start = start
-            self.cand = cand
-            self.visited = {start}
-            self.path: list[tuple[Chord, Chord]] = []
-            if self._dfs(start, 0, appear, vanish):
-                return self.path, start
+        n, length, budget = self.n, self.length, self.budget
+        nn = n * n
+        w = self.r.bit_length() + 1
+        field = [1 << (w * i) for i in range(2 * nn)]
+        ones = sum(field)           # a 1 in every field
+        top = 1 << (w - 1)
+        guard = top * ones
+        fill = (top - 1 - self.r) * ones
+        # per vertex, (target, inc) in _candidates order; a flip is fixed
+        # by the two matchings it joins, so a hit's walk names its flips
+        cand: list[tuple] = [()] * (max(comp) + 1)
+        for v in comp:
+            cand[v] = tuple((t, field[ie] + field[if_] + field[nn + ig]
+                             + field[nn + ih])
+                            for t, ie, if_, ig, ih, _, _ in _candidates(n, v))
+        visited = bytearray(len(cand))
+        expanded = self.expanded
+
+        def dfs(at: int, state: int, left: int) -> list | None:
+            # left = flips still to take after this one; the walk comes
+            # back reversed
+            nonlocal expanded
+            if expanded >= budget:
+                raise _Budget
+            expanded += 1
+            if not left:
+                for target, inc in cand[at]:
+                    if target == start and not (state + inc) & guard:
+                        return [start, at]
+                return None
+            for target, inc in cand[at]:
+                if target <= start or visited[target]:
+                    continue
+                nxt = state + inc
+                if nxt & guard:
+                    continue
+                visited[target] = 1
+                walk = dfs(target, nxt, left - 1)
+                if walk is not None:
+                    walk.append(at)
+                    return walk
+                visited[target] = 0
+            return None
+
+        try:
+            for start in comp:
+                if self._orbit_minimal(start):
+                    walk = dfs(start, fill, length - 1)
+                    if walk is not None:
+                        walk.reverse()
+                        return [next((e, f) for t, _, _, _, _, e, f
+                                     in _candidates(n, u) if t == v)
+                                for u, v in zip(walk, walk[1:])], start
+        finally:
+            self.expanded = expanded
         return None
 
     def _orbit_minimal(self, v: int) -> bool:
         return all(r >= v for r in orbit_ranks(_unrank_word(self.n, v),
                                                 mirrors=False))
-
-    def _dfs(self, at: int, depth: int,
-             appear: list[int], vanish: list[int]) -> bool:
-        if self.expanded >= self.budget:
-            raise _Budget
-        self.expanded += 1
-        r = self.r
-        last = depth + 1 == self.length
-        for target, ie, if_, ig, ih, e, f in self.cand[at]:
-            if (vanish[ie] >= r or vanish[if_] >= r
-                    or appear[ig] >= r or appear[ih] >= r):
-                continue
-            if last:
-                if target == self.start:
-                    self.path.append((e, f))
-                    return True
-                continue
-            if target <= self.start or target in self.visited:
-                continue
-            vanish[ie] += 1
-            vanish[if_] += 1
-            appear[ig] += 1
-            appear[ih] += 1
-            self.visited.add(target)
-            self.path.append((e, f))
-            if self._dfs(target, depth + 1, appear, vanish):
-                return True
-            self.path.pop()
-            self.visited.remove(target)
-            vanish[ie] -= 1
-            vanish[if_] -= 1
-            appear[ig] -= 1
-            appear[ih] -= 1
-        return False
 
 
 def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,

@@ -227,3 +227,62 @@ def oracle_ranks(n: int) -> dict:
                 pairs.append((stack.pop(), x))
         ranks[tuple(sorted(pairs))] = r
     return ranks
+
+
+def oracle_rainbow_dfs(cand, starts, n_chords: int, r: int, length: int,
+                       budget: int):
+    """The rainbow DFS with one list counter per chord and direction.
+
+    cand maps a rank to its candidate flips (target, vanishing chord
+    indices ie, if_, appearing ig, ih, chords e, f) in search order, and
+    starts lists the start ranks in order; both come from the caller.
+    Returns (hit, expanded, stopped): hit is (path, start) or None, and
+    stopped says whether the budget ended the search before a node.
+    """
+    expanded = 0
+
+    class Stop(Exception):
+        pass
+
+    def dfs(start, at, depth, appear, vanish, visited, path):
+        nonlocal expanded
+        if expanded >= budget:
+            raise Stop
+        expanded += 1
+        last = depth + 1 == length
+        for target, ie, if_, ig, ih, e, f in cand[at]:
+            if (vanish[ie] >= r or vanish[if_] >= r
+                    or appear[ig] >= r or appear[ih] >= r):
+                continue
+            if last:
+                if target == start:
+                    path.append((e, f))
+                    return True
+                continue
+            if target <= start or target in visited:
+                continue
+            vanish[ie] += 1
+            vanish[if_] += 1
+            appear[ig] += 1
+            appear[ih] += 1
+            visited.add(target)
+            path.append((e, f))
+            if dfs(start, target, depth + 1, appear, vanish, visited, path):
+                return True
+            path.pop()
+            visited.remove(target)
+            vanish[ie] -= 1
+            vanish[if_] -= 1
+            appear[ig] -= 1
+            appear[ih] -= 1
+        return False
+
+    try:
+        for start in starts:
+            path = []
+            if dfs(start, start, 0, [0] * n_chords, [0] * n_chords,
+                   {start}, path):
+                return (path, start), expanded, False
+    except Stop:
+        return None, expanded, True
+    return None, expanded, False

@@ -173,7 +173,7 @@ def test_rainbow_budget_exit_code(capsys):
     obj = json.loads(out)
     assert code == 3
     assert obj["status"] == "budget"
-    assert obj["expanded"] <= 100
+    assert obj["expanded"] == 100
 
 
 def test_memory_budget_exit_code(capsys):
@@ -229,7 +229,8 @@ def test_package_has_no_assert_statements():
 
 
 @pytest.mark.parametrize("argv", [["verify", "--n", "7"],
-                                  ["rainbow", "--n", "6", "--r", "2"]])
+                                  ["rainbow", "--n", "6", "--r", "2"],
+                                  ["rainbow", "--n", "6", "--r", "1"]])
 def test_optimized_python_prints_the_same_bytes(argv):
     # python -O strips asserts; no printed result may depend on them
     procs = [subprocess.run([sys.executable, *flags, "-m", "matchflip.cli",

@@ -15,6 +15,7 @@ from matchflip.rainbow import (admissible_chords, find_rainbow_cycle,
                                verify_rainbow)
 
 from conftest import cached_graph
+from oracles import oracle_rainbow_dfs
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -95,7 +96,11 @@ def test_exhaustive_none_even():
     res = find_rainbow_cycle(6, 1, graph=cached_graph(6, "centered"))
     assert res.status == "none" and res.reason == "exhausted"
     assert res.certificate is None
-    assert res.expanded > 0
+    assert res.expanded == 1202
+    # the golden CLI digests stop at n = 7
+    res8 = find_rainbow_cycle(8, 1, graph=cached_graph(8, "centered"))
+    assert (res8.status, res8.reason) == ("none", "exhausted")
+    assert res8.expanded == 372755
 
 
 def test_exhaustive_none_odd_forced():
@@ -138,7 +143,32 @@ def test_budget_interrupts_search():
                              graph=cached_graph(6, "centered"))
     assert res.status == "budget"
     assert res.reason is None
-    assert 0 < res.expanded <= 50
+    assert res.expanded == 50
+    res8 = find_rainbow_cycle(8, 2, budget=20000,
+                              graph=cached_graph(8, "centered"))
+    assert res8.status == "budget" and res8.expanded == 20000
+
+
+# short lengths make r >= 2 cheap to search exhaustively; n = 7 keeps the
+# widest field (r = 17) and one narrow one to stay about a second
+@pytest.mark.parametrize("n,r", [(n, r) for n in (4, 5, 6)
+                                 for r in (1, 2, 3, 17)] + [(7, 2), (7, 17)])
+def test_search_matches_list_counter_oracle(n, r):
+    budget = 20000
+    comps = [c for c in cached_graph(n, "centered").components()
+             if len(c) > 2][:3]
+    for comp in comps:
+        cand = {v: rainbow._candidates(n, v) for v in comp}
+        probe = rainbow._Search(n, r, 2, budget)
+        starts = [v for v in comp if probe._orbit_minimal(v)]
+        for length in range(2, 11):
+            search = rainbow._Search(n, r, length, budget)
+            try:
+                hit, stopped = search.run(comp), False
+            except rainbow._Budget:
+                hit, stopped = None, True
+            assert (hit, search.expanded, stopped) == oracle_rainbow_dfs(
+                cand, starts, n * n, r, length, budget), (comp[0], length)
 
 
 def test_rejects_bad_arguments():

@@ -12,7 +12,8 @@ from fractions import Fraction
 from math import comb, pi, sqrt
 
 from .chords import _symmetric, _weight, max_length
-from .dyck import _partner_from_word, band_weight, catalan, dyck_words, peaks
+from .dyck import (_band_weight, _partner_from_word, _peaks, catalan,
+                   dyck_words)
 from .errors import VerificationError
 
 
@@ -177,13 +178,13 @@ def verify_counts(n: int) -> CountReport:
         partner = _partner_from_word(w)
         total += 1
         n_symmetric += _symmetric(n, partner)
-        pk = peaks(w)
+        pk = _peaks(w)
         if even:
             wt = _weight(n, partner)
             weight_hist[wt] = weight_hist.get(wt, 0) + 1
             # the perimeter chords: one per UD factor, and (1, 2n)
             perim_hist[pk + (partner[1] == 2 * n)] += 1
-        bw_hist[band_weight(w)] += 1
+        bw_hist[_band_weight(w)] += 1
         peak_hist[pk] += 1
 
     rows = [CountRow("matchings", catalan(n), total),

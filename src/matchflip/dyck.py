@@ -77,25 +77,23 @@ def from_dyck(word: str) -> Matching:
     return Matching._from_partner(n, _partner_from_word(w))
 
 
+def _peaks(w: str) -> int:
+    return w.count("UD")
+
+
+def _band_weight(w: str) -> int:
+    # the height before position i has the parity of i
+    return w[::2].count("U")
+
+
 def peaks(word: str) -> int:
     """Number of UD factors (local maxima of the lattice path)."""
-    w = normalize_word(word)
-    return w.count("UD")
+    return _peaks(normalize_word(word))
 
 
 def band_weight(word: str) -> int:
     """Number of upsteps starting at even height."""
-    w = normalize_word(word)
-    h = 0
-    total = 0
-    for ch in w:
-        if ch == "U":
-            if h % 2 == 0:
-                total += 1
-            h += 1
-        else:
-            h -= 1
-    return total
+    return _band_weight(normalize_word(word))
 
 
 @lru_cache(maxsize=None)
@@ -162,6 +160,23 @@ def orbit_ranks(w: str, mirrors: bool = True) -> Iterator[int]:
                 rot[(x + k - 1) % n2 + 1] = (partner[x] + k - 1) % n2 + 1
             yield _word_rank("".join("U" if rot[x] > x else "D"
                                      for x in range(1, n2 + 1)))
+
+
+def orbit_minima(n: int, mirrors: bool = True) -> bytearray:
+    """1 at every rank that is the smallest of its orbit, 0 elsewhere.
+
+    The orbit is the rotations of the matching (orbit_ranks) and, unless
+    mirrors=False, of its mirror image.  One pass in rank order: the
+    first rank reached of each orbit is its minimum and marks the rest.
+    """
+    seen = bytearray(catalan(n))
+    minima = bytearray(len(seen))
+    for s, w in enumerate(dyck_words(n)):
+        if not seen[s]:
+            minima[s] = 1
+            for r in orbit_ranks(w, mirrors):
+                seen[r] = 1
+    return minima
 
 
 def rank(m: Matching | str) -> int:

@@ -7,14 +7,18 @@ the four side lengths sum to n-2 (any smaller sum means non-centered; a
 center on the quadrilateral boundary still counts as centered).
 
 On balanced words a flip is a transposition of two letters, so the rank
-of every neighbour follows from the current rank in O(1); flip_cells
-below is the one kernel that graph builds and the rainbow search use.
+of every neighbour follows from the current rank in O(1).  flip_cells
+below is the one kernel that graph builds and the rainbow search use: a
+pass over a stream of (word, rank) pairs that keeps its state between
+words, so each word redoes only the letters after the prefix it shares
+with the one before, after undoing the previous word's letters there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .chords import Chord, Matching, chord_length, make_chord
 from .dyck import _d_terms, to_dyck
@@ -117,13 +121,16 @@ def _span_lengths(n: int) -> tuple[int, ...]:
                         for s in range(1, 2 * n))
 
 
-def flip_cells(n: int, word: str, rank: int,
-               centered_only: bool = False) -> list[tuple]:
-    """(target rank, centered, a, b, c, d) for each flip of a balanced word.
+def flip_cells(n: int, words: Iterable[tuple[str, int]],
+               centered_only: bool = False) -> Iterator[list[tuple]]:
+    """Every flip of each word in a stream of (balanced word, rank) pairs.
 
-    (a, b) and (c, d), a < c, are the two chords that leave, as 1-based
-    points; word must be a balanced word of length 2n and rank its rank.
-    centered_only drops the other flips.  The list is unordered.
+    Yields, per pair and in stream order, a list of (target rank,
+    centered, a, b, c, d): (a, b) and (c, d), a < c, are the two chords
+    that leave, as 1-based points.  Each word must be a balanced word of
+    length 2n and each rank its rank; the stream may be in any order and
+    may repeat words.  centered_only drops the other flips.  A list is
+    unordered.  One word is a one-pair stream.
 
     Flippable pairs are parent-child and sibling pairs of the nesting
     forest (see _forest_pairs).  With p1 < p2 < p3 < p4 the endpoints as
@@ -142,42 +149,75 @@ def flip_cells(n: int, word: str, rank: int,
     and S+ splits into a part known when the first sibling closes and one
     known when the second opens: O(1) per flip.  The flip is centered iff
     the lengths of the four sides, looked up by span, sum to n - 2.
+
+    A flip is emitted at the D of its later chord and depends on the
+    letters up to it only, and its delta does not depend on the rank, so
+    the pass keeps its state between words: at every position it records
+    k, S+, S- and the number of flips emitted before it.  A new word
+    keeps the prefix it shares with the previous one (found from the XOR
+    of the two words read as integers) and redoes only the letters after
+    it.  First the previous word's letters after the prefix are undone,
+    right to left: a U pops the open-chord stack; a D pops the sibling
+    entry it added to the enclosing chord and pushes back the entry it
+    closed.  Then the flips emitted after the prefix are dropped and the
+    forward pass runs over the new suffix.
     """
     c = _d_terms(n)
     span = _span_lengths(n)
     stride = n + 3
     goal = n - 2
-    out = []
+    n2 = 2 * n
+    cells: list[tuple] = []     # (delta, centered, a, b, c, d) of the word
     # open chords: (opener, its index into c, S+ and S- prefixes at the
     # opener, closed children as (p1, p2, sibling part, parent-child delta))
     stack: list[tuple] = [(0, 0, 0, 0, [])]
-    k = su = sd = 0             # k = i * stride + height before position i
-    for i, ch in enumerate(word):
-        if ch == "U":
-            stack.append((i, k, su, sd, []))
-            k += stride + 1
-            continue
-        j, kj, su_j, sd_j, kids = stack.pop()
-        ck = c[k]
-        side = span[i - j]
-        for p2, p3, _, delta in kids:
-            cen = side + span[p2 - j] + span[p3 - p2] + span[i - p3] == goal
-            if cen or not centered_only:
-                out.append((rank + delta, cen, j + 1, i + 1, p2 + 1, p3 + 1))
-        siblings = stack[-1][4]
-        opened = c[kj + 2] + su_j
-        for p1, p2, closed, _ in siblings:
-            cen = (side + span[p2 - p1] + span[j - p2] + span[i - p1]) == goal
-            if cen or not centered_only:
-                out.append((rank + closed + opened, cen,
-                            p1 + 1, p2 + 1, j + 1, i + 1))
-        delta = c[kj] - ck + sd - sd_j
-        # c(i, h - 2) only counts inside a child, where h >= 3
-        su += c[k + 2] - ck
-        sd += c[k - 2] - ck
-        siblings.append((j, i, -ck - su, delta))
-        k += stride - 1
-    return out
+    at = [(0, 0, 0, 0)] * (n2 + 1)  # (k, su, sd, len(cells)) before i
+    closed_by = [None] * n2         # the entry the D at i popped
+    prev, prev_key = "", 0
+    for word, rank in words:
+        key = int.from_bytes(word.encode(), "big")
+        p = n2 - ((key ^ prev_key).bit_length() + 7) // 8
+        for i in range(len(prev) - 1, p - 1, -1):
+            if prev[i] == "U":
+                stack.pop()
+            else:
+                stack[-1][4].pop()
+                stack.append(closed_by[i])
+        # k = i * stride + height before position i
+        k, su, sd, m = at[p]
+        del cells[m:]
+        for i in range(p, n2):
+            at[i] = (k, su, sd, len(cells))
+            if word[i] == "U":
+                stack.append((i, k, su, sd, []))
+                k += stride + 1
+                continue
+            closed_by[i] = entry = stack.pop()
+            j, kj, su_j, sd_j, kids = entry
+            ck = c[k]
+            side = span[i - j]
+            for p2, p3, _, delta in kids:
+                cen = (side + span[p2 - j] + span[p3 - p2]
+                       + span[i - p3]) == goal
+                if cen or not centered_only:
+                    cells.append((delta, cen, j + 1, i + 1, p2 + 1, p3 + 1))
+            siblings = stack[-1][4]
+            opened = c[kj + 2] + su_j
+            for p1, p2, closed, _ in siblings:
+                cen = (side + span[p2 - p1] + span[j - p2]
+                       + span[i - p1]) == goal
+                if cen or not centered_only:
+                    cells.append((closed + opened, cen,
+                                  p1 + 1, p2 + 1, j + 1, i + 1))
+            delta = c[kj] - ck + sd - sd_j
+            # c(i, h - 2) only counts inside a child, where h >= 3
+            su += c[k + 2] - ck
+            sd += c[k - 2] - ck
+            siblings.append((j, i, -ck - su, delta))
+            k += stride - 1
+        at[n2] = (k, su, sd, len(cells))
+        prev, prev_key = word, key
+        yield [(rank + d, cen, a, b, x, y) for d, cen, a, b, x, y in cells]
 
 
 def flippable_pairs(m: Matching) -> list[tuple[Chord, Chord]]:

@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .chords import _symmetric, _weight
 from .dyck import (_partner_from_word, _unrank_word, catalan, dyck_words,
-                   orbit_ranks, rank, unrank)
+                   orbit_minima, rank, unrank)
 from .errors import ResourceLimitError
 from .flips import flip_cells
 
@@ -32,16 +32,12 @@ def _chunk_rows(args) -> tuple[int, list[int], array, bytes]:
     counts: list[int] = []
     targets = array("i")
     flags = bytearray()
-    r = start
-    for w in dyck_words(n, start):
-        if r >= stop:
-            break
-        cells = flip_cells(n, w, r, centered_only)
+    words = zip(dyck_words(n, start), range(start, stop))
+    for cells in flip_cells(n, words, centered_only):
         cells.sort()
         counts.append(len(cells))
         targets.extend([cell[0] for cell in cells])
         flags.extend([cell[1] for cell in cells])
-        r += 1
     return start, counts, targets, bytes(flags)
 
 
@@ -355,13 +351,7 @@ def diameter(g: FlipGraph, exact_limit: int = 6000, samples: int = 32,
     if v == 1:
         return DiameterResult(True, True, 0, 0, 0, (0, 0))
     if v <= exact_limit:
-        seen = bytearray(v)
-        reps = []
-        for s, w in enumerate(dyck_words(g.n)):
-            if not seen[s]:
-                reps.append(s)
-                for r in orbit_ranks(w):
-                    seen[r] = 1
+        reps = list(compress(range(v), orbit_minima(g.n)))
         farthest = _farthest(g, reps)
         s = max(reps, key=lambda r: farthest[r][0])     # the first maximum
         best, far = farthest[s]

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Iterator
 
 from .chords import Chord, Matching, max_length
 from .counts import narayana
-from .dyck import _unrank_word, orbit_ranks, unrank
+from .dyck import _unrank_word, orbit_minima, unrank
 from .errors import VerificationError
 from .flips import (Flip, _in_chords, apply_flip, flip_cells, is_centered,
                     make_flip)
@@ -73,18 +74,24 @@ def odd_average_certificate(n: int) -> dict:
             "max_flip_average_length": Fraction(n - 2, 4)}
 
 
+def _candidate_rows(n: int, ranks) -> Iterator[list[tuple]]:
+    """_candidates of each rank in turn, from one flip_cells stream."""
+    idx = _chord_index(n)
+    words = ((_unrank_word(n, v), v) for v in ranks)
+    for cells in flip_cells(n, words, centered_only=True):
+        out = []
+        for target, _, a, b, c, d in cells:
+            e, f = (a, b), (c, d)
+            g, h = _in_chords(e, f)
+            key = tuple(sorted((idx[g], idx[h])))
+            out.append((key, target, idx[e], idx[f], idx[g], idx[h], e, f))
+        out.sort()
+        yield [t[1:] for t in out]
+
+
 def _candidates(n: int, rank_: int) -> list[tuple]:
     """Centered flips out of one vertex: (target, in-key, out1, out2)."""
-    idx = _chord_index(n)
-    out = []
-    for target, _, a, b, c, d in flip_cells(n, _unrank_word(n, rank_), rank_,
-                                            centered_only=True):
-        e, f = (a, b), (c, d)
-        g, h = _in_chords(e, f)
-        key = tuple(sorted((idx[g], idx[h])))
-        out.append((key, target, idx[e], idx[f], idx[g], idx[h], e, f))
-    out.sort()
-    return [t[1:] for t in out]
+    return next(_candidate_rows(n, (rank_,)))
 
 
 class _Budget(Exception):
@@ -121,10 +128,10 @@ class _Search:
         # per vertex, (target, inc) in _candidates order; a flip is fixed
         # by the two matchings it joins, so a hit's walk names its flips
         cand: list[tuple] = [()] * (max(comp) + 1)
-        for v in comp:
+        for v, row in zip(comp, _candidate_rows(n, comp)):
             cand[v] = tuple((t, field[ie] + field[if_] + field[nn + ig]
                              + field[nn + ih])
-                            for t, ie, if_, ig, ih, _, _ in _candidates(n, v))
+                            for t, ie, if_, ig, ih, _, _ in row)
         visited = bytearray(len(cand))
         expanded = self.expanded
 
@@ -167,9 +174,12 @@ class _Search:
             self.expanded = expanded
         return None
 
+    @cached_property
+    def _minima(self) -> bytearray:
+        return orbit_minima(self.n, mirrors=False)
+
     def _orbit_minimal(self, v: int) -> bool:
-        return all(r >= v for r in orbit_ranks(_unrank_word(self.n, v),
-                                                mirrors=False))
+        return bool(self._minima[v])
 
 
 def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,

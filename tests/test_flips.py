@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
 from matchflip import (Matching, apply_flip, diameter_chord, flippable_pairs,
                        is_centered, make_flip, neighbors, replay)
-from matchflip.dyck import enumerate_matchings
-from matchflip.flips import _in_chords
+from matchflip.counts import catalan
+from matchflip.dyck import _unrank_word, enumerate_matchings
+from matchflip.flips import _in_chords, flip_cells
 
 import oracles
+from conftest import cached_graph
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -116,3 +120,25 @@ def test_centered_quadrilateral_length_sum():
                 g, h = _in_chords(e, f)
                 total = sum(chord_length(n, c) for c in (e, f, g, h))
                 assert is_centered(n, e, f) == (total == n - 2)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("mode", ("all", "centered"))
+def test_flip_stream_equals_one_word_streams(n, mode):
+    # the stream keeps the prefix each word shares with the one before;
+    # out of rank order, repeated, changed only in the two letters before
+    # the final D (ranks C_n - 2 and C_n - 1), or jumping from the last
+    # rank back to 0, every word must get the cells it gets alone
+    v = catalan(n)
+    rng = random.Random(n)
+    ranks = [rng.randrange(v) for _ in range(60)]
+    ranks += [ranks[-1], ranks[-1], v - 2, v - 1, v - 2, v - 1, 0, 0]
+    stream = [(_unrank_word(n, r), r) for r in ranks]
+    centered_only = mode == "centered"
+    g = cached_graph(n, mode)
+    got = list(flip_cells(n, stream, centered_only))
+    assert len(got) == len(stream)
+    for (w, r), cells in zip(stream, got):
+        alone = sorted(next(flip_cells(n, [(w, r)], centered_only)))
+        assert sorted(cells) == alone, (w, r)
+        assert [cell[0] for cell in alone] == list(g.neighbors(r))

@@ -146,10 +146,13 @@ def test_memory_budget_is_enforced_before_allocation():
     assert g.vertex_count == 14
 
 
-@pytest.mark.parametrize("threads", [2, 3])
-def test_threaded_build_is_byte_identical(threads):
-    a = build_flip_graph(5, threads=1)
-    b = build_flip_graph(5, threads=threads)
+# every worker but the first starts the flip stream mid-order
+@pytest.mark.parametrize("n, mode, threads", [
+    pytest.param(5, "all", 2, id="2"), pytest.param(5, "all", 3, id="3")]
+    + [(9, mode, t) for mode in ("all", "centered") for t in (2, 3, 7)])
+def test_threaded_build_is_byte_identical(n, mode, threads):
+    a = cached_graph(n, mode)      # one process below n = 10
+    b = build_flip_graph(n, mode, threads=threads)
     assert a.offsets == b.offsets
     assert a.targets == b.targets
     assert a.flags == b.flags

@@ -130,26 +130,43 @@ def _lines(lines):
         yield "\n".join(batch) + "\n"
 
 
-def _json_array(items, indent: str = "", size: int = 4096):
-    """A JSON array of already indented item texts, as text chunks of size
-    items; indent is the indentation of the array itself."""
+def _json_array(chunks, indent: str = ""):
+    """A JSON array as text chunks, from chunks of already indented items
+    joined by ",\n"; indent is the indentation of the array itself."""
     sep = "["
-    for batch in _batched(items, size):
-        yield sep + "\n" + ",\n".join(batch)
+    for chunk in chunks:
+        yield sep + "\n" + chunk
         sep = ","
     yield "[]" if sep == "[" else "\n" + indent + "]"
+
+
+_EDGE = "    [\n      %d,\n      %d,\n      %d\n    ]"
+
+
+def _edge_chunks(edges, size: int = 2048):
+    """Edge items of the graph JSON, one `%` per batch of size edges.
+
+    The batch is a flat tuple of 3 * size numbers, not a list of edge
+    tuples, which keeps it below the words array in memory; %d prints a
+    centered flag as 0 or 1.
+    """
+    flat = chain.from_iterable(edges)
+    full = ",\n".join([_EDGE] * size)
+    while batch := tuple(islice(flat, 3 * size)):
+        form = (full if len(batch) == 3 * size
+                else ",\n".join([_EDGE] * (len(batch) // 3)))
+        yield form % batch
 
 
 def _graph_json(g):
     """`_dump(graph_json_obj(g, include_words=True))` as text chunks, with
     edges from the CSR and words from one `dyck_words` stream."""
     yield f'{{\n  "edge_count": {g.edge_count},\n  "edges": '
-    yield from _json_array(
-        (f"    [\n      {r},\n      {s},\n      {int(cen)}\n    ]"
-         for r, s, cen in g.edges()), "  ")
+    yield from _json_array(_edge_chunks(g.edges()), "  ")
     yield (f',\n  "mode": {json.dumps(g.mode)},\n  "n": {g.n},\n'
            f'  "vertex_count": {g.vertex_count},\n  "words": ')
-    yield from _json_array((f'    "{w}"' for w in dyck_words(g.n)), "  ")
+    yield from _json_array(('    "' + '",\n    "'.join(batch) + '"'
+                            for batch in _batched(dyck_words(g.n))), "  ")
     yield "\n}\n"
 
 
@@ -183,8 +200,9 @@ def cmd_enumerate(args) -> int:
                             "word": to_dyck(m)}, indent=2, sort_keys=True)
                 for i, m in enumerate(enumerate_matchings(n)))
         _write(args.out, chain(
-            _json_array(("  " + row.replace("\n", "\n  ") for row in rows),
-                        size=1024), ["\n"]))
+            _json_array(",\n".join(batch) for batch in _batched(
+                ("  " + row.replace("\n", "\n  ") for row in rows), 1024)),
+            ["\n"]))
         return EXIT_OK
     if fmt == "csv":
         def gen():

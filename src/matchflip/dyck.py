@@ -10,6 +10,7 @@ that order is its vertex id everywhere in this package.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from typing import Iterator
 
@@ -211,37 +212,56 @@ def _unrank_word(n: int, r: int) -> str:
     return "".join(out)
 
 
-def _advance(w: list[str]) -> bool:
-    """Replace w in place with its lexicographic successor; False at the end.
+@lru_cache(maxsize=None)
+def _tails(m: int, h: int) -> tuple[str, ...]:
+    """The m-letter words that take height h to 0 without going below 0,
+    in canonical order (U < D).
 
-    The rightmost U with height >= 1 before it (more Ds than Us from it on)
-    becomes a D, and the rest is refilled smallest first: amortised O(1)
-    per word (Knuth, TAOCP 4A, 7.2.1.6).
+    The recursion caches every (m', h') below (m, h): the tails from all
+    heights at length m' add up to C(m', m'//2), so the cache behind
+    dyck_words(n) holds the sum of those for m' <= n, 7,060 strings at
+    n=14 and 26,365 at n=16.
     """
-    u = d = 0
-    for i in range(len(w) - 1, -1, -1):
-        if w[i] == "D":
-            d += 1
-            continue
-        u += 1
-        if d > u:
-            w[i:] = ["D"] + ["U"] * u + ["D"] * (d - 1)
-            return True
-    return False
+    if h > m or (m - h) % 2:
+        return ()
+    if not m:
+        return ("",)
+    up = tuple(map("U".__add__, _tails(m - 1, h + 1)))
+    return up + tuple(map("D".__add__, _tails(m - 1, h - 1))) if h else up
+
+
+def _heads(n: int) -> list[tuple[str, int]]:
+    """(prefix, height) of every valid n-letter prefix, in canonical order."""
+    heads = [("", 0)]
+    for _ in range(n):
+        heads = [(p + ch, h + step) for p, h in heads
+                 for ch, step in (("U", 1), ("D", -1)) if h + step >= 0]
+    return heads
 
 
 def dyck_words(n: int, start_rank: int = 0) -> Iterator[str]:
-    """Stream balanced words in canonical order, optionally from a rank."""
+    """Stream balanced words in canonical order, optionally from a rank.
+
+    A word is a valid n-letter prefix, ending at some height h, followed
+    by one of the _tails(n, h).  Prefixes and tails both come in order,
+    so prefix by prefix their concatenations are the words in rank order;
+    the stream is one map(prefix.__add__, tails) per prefix.  A start
+    rank is unranked once; the stream begins at that word's prefix, from
+    its tail's index.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    heads = _heads(n)
+    i = j = 0
     if start_rank:
-        w = list(_unrank_word(n, start_rank))
-    else:
-        w = ["U"] * n + ["D"] * n
-    while True:
-        yield "".join(w)
-        if not _advance(w):
-            return
+        w = _unrank_word(n, start_rank)
+        h = 2 * w.count("U", 0, n) - n
+        i = heads.index((w[:n], h))
+        j = _tails(n, h).index(w[n:])
+    first, h = heads[i]
+    return chain(map(first.__add__, _tails(n, h)[j:]),
+                 chain.from_iterable(map(p.__add__, _tails(n, hp))
+                                     for p, hp in heads[i + 1:]))
 
 
 def enumerate_matchings(n: int, start_rank: int = 0,

@@ -13,7 +13,8 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, chain, compress, islice, repeat, tee
+from operator import itemgetter, lt, sub
 from typing import Iterator
 
 from .chords import _symmetric, _weight
@@ -23,6 +24,7 @@ from .errors import ResourceLimitError
 from .flips import flip_cells
 
 MODES = ("all", "centered")
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 def _chunk_rows(args) -> tuple[int, list[int], array, bytes]:
@@ -36,8 +38,8 @@ def _chunk_rows(args) -> tuple[int, list[int], array, bytes]:
     for cells in flip_cells(n, words, centered_only):
         cells.sort()
         counts.append(len(cells))
-        targets.extend([cell[0] for cell in cells])
-        flags.extend([cell[1] for cell in cells])
+        targets.extend(map(_first, cells))
+        flags.extend(map(_second, cells))
     return start, counts, targets, bytes(flags)
 
 
@@ -86,12 +88,18 @@ class FlipGraph:
         return [off[i + 1] - off[i] for i in range(self.vertex_count)]
 
     def edges(self) -> Iterator[tuple[int, int, bool]]:
-        """(src, dst, centered) with src < dst, in lexicographic order."""
-        for r in range(self.vertex_count):
-            for i in range(self.offsets[r], self.offsets[r + 1]):
-                s = self.targets[i]
-                if r < s:
-                    yield r, s, bool(self.flags[i])
+        """(src, dst, centered) with src < dst, in lexicographic order.
+
+        One itertools pipeline over the arc ends: the source of every arc
+        is its row number repeated degree times, and the arcs kept are
+        those whose source is below their target.
+        """
+        off, tg = self.offsets, self.targets
+        degrees = map(sub, islice(off, 1, None), off)
+        src, src2 = tee(chain.from_iterable(
+            map(repeat, range(self.vertex_count), degrees)))
+        return compress(zip(src, tg, map(bool, self.flags)),
+                        map(lt, src2, tg))
 
     def matching(self, r: int):
         return unrank(self.n, r)
@@ -193,38 +201,39 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
             f"graph for n={n} needs an estimated {_estimate_bytes(n)} bytes, "
             f"over the budget of {mem_budget}")
     v = catalan(n)
-    offsets = array("q", [0])
-    targets = array("i")
-    flags = bytearray()
     if threads == 1 or v < 4 * threads:
-        _, counts, targets, fl = _chunk_rows((n, mode, 0, v))
-        flags = bytearray(fl)
-        for c in counts:
-            offsets.append(offsets[-1] + c)
+        _, counts, targets, flags = _chunk_rows((n, mode, 0, v))
+        offsets = array("q", accumulate(counts, initial=0))
     else:
         import multiprocessing as mp
 
         bounds = [v * i // threads for i in range(threads + 1)]
         jobs = [(n, mode, bounds[i], bounds[i + 1]) for i in range(threads)]
+        offsets = array("q", [0])
+        targets = array("i")
+        flags = bytearray()
         ctx = mp.get_context("fork")
         with ctx.Pool(threads) as pool:
+            # a chunk's offsets go on from the last one, so no list of
+            # row counts outlives its chunk
             for _, counts, tg, fl in pool.imap(_chunk_rows, jobs):
-                for c in counts:
-                    offsets.append(offsets[-1] + c)
+                offsets.extend(accumulate(counts, initial=offsets.pop()))
                 targets.extend(tg)
                 flags.extend(fl)
-    return FlipGraph(n, mode, offsets, targets, bytes(flags))
+        flags = bytes(flags)
+    return FlipGraph(n, mode, offsets, targets, flags)
 
 
-def _bfs(g: FlipGraph, src: int, dist: array | list[int]) -> list[int]:
-    """Visit order of a BFS from src; the one traversal loop.
+def _bfs(g: FlipGraph, src: int, dist: array | list[int]) -> array:
+    """Visit order of a BFS from src, as an array("i"); the one traversal
+    loop.
 
     dist is caller-owned, -1 meaning unseen; the BFS fills in the distance
     from src of every vertex it reaches and skips vertices already seen.
     """
     off, tg = g.offsets, g.targets
     dist[src] = 0
-    queue = [src]
+    queue = array("i", [src])
     for x in queue:
         dx = dist[x] + 1
         for y in tg[off[x]:off[x + 1]]:
@@ -378,22 +387,22 @@ def diameter(g: FlipGraph, exact_limit: int = 6000, samples: int = 32,
     return DiameterResult(True, False, None, lower, upper, witness)
 
 
+_DOT_EDGE = ("  %d -- %d [style=dashed];", "  %d -- %d [style=solid];")
+
+
 def dot_lines(g: FlipGraph) -> Iterator[str]:
     """Graphviz form; centered flips solid, other flips dashed."""
     yield f'graph "flips_n{g.n}_{g.mode}" {{'
     yield "  node [shape=box];"
-    for r, w in enumerate(dyck_words(g.n)):
-        yield f'  {r} [label="{w}"];'
+    yield from map('  %d [label="%s"];'.__mod__, enumerate(dyck_words(g.n)))
     for r, s, cen in g.edges():
-        style = "solid" if cen else "dashed"
-        yield f"  {r} -- {s} [style={style}];"
+        yield _DOT_EDGE[cen] % (r, s)
     yield "}"
 
 
 def csv_lines(g: FlipGraph) -> Iterator[str]:
-    yield "src_rank,dst_rank,centered"
-    for r, s, cen in g.edges():
-        yield f"{r},{s},{int(cen)}"
+    return chain(("src_rank,dst_rank,centered",),
+                 map("%d,%d,%d".__mod__, g.edges()))
 
 
 def graph_json_obj(g: FlipGraph, include_words: bool = False) -> dict:

@@ -286,3 +286,43 @@ def oracle_rainbow_dfs(cand, starts, n_chords: int, r: int, length: int,
     except Stop:
         return None, expanded, True
     return None, expanded, False
+
+
+def _advance(w: list) -> bool:
+    """Replace w in place with its successor in U < D order; False at the
+    end (Knuth, TAOCP 4A, 7.2.1.6).
+
+    The rightmost U with more Ds than Us after it becomes a D, and the
+    rest is refilled smallest first.
+    """
+    u = d = 0
+    for i in range(len(w) - 1, -1, -1):
+        if w[i] == "D":
+            d += 1
+            continue
+        u += 1
+        if d > u:
+            w[i:] = ["D"] + ["U"] * u + ["D"] * (d - 1)
+            return True
+    return False
+
+
+def successor_words(n: int) -> list:
+    """Every balanced word of n Us and n Ds in order, one successor step
+    at a time from U^n D^n."""
+    w = ["U"] * n + ["D"] * n
+    words = ["".join(w)]
+    while _advance(w):
+        words.append("".join(w))
+    return words
+
+
+def csr_edges(offsets, targets, flags) -> list:
+    """(src, dst, bool flag) of every CSR arc with src < dst, row by row."""
+    out = []
+    for r in range(len(offsets) - 1):
+        for i in range(offsets[r], offsets[r + 1]):
+            s = targets[i]
+            if r < s:
+                out.append((r, s, bool(flags[i])))
+    return out

@@ -14,7 +14,8 @@ from matchflip.dyck import (band_weight, bits_to_symmetric, dyck_words,
                             peaks, rank, segment_to_dyck, symmetric_to_bits,
                             to_dyck, unrank, validate_word)
 
-from oracles import brute_band_weight, brute_peaks, is_noncrossing
+from oracles import (brute_band_weight, brute_peaks, is_noncrossing,
+                     successor_words)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -81,6 +82,28 @@ def test_stream_matches_rank_order(n):
     assert words == [to_dyck(unrank(n, r)) for r in range(catalan(n))]
     ms = list(enumerate_matchings(n))
     assert [to_dyck(m) for m in ms] == words
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stream_from_every_rank_equals_successor_oracle(n):
+    words = successor_words(n)
+    assert len(words) == catalan(n)
+    for s in range(len(words)):
+        assert list(dyck_words(n, s)) == words[s:]
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_stream_from_sampled_ranks_equals_successor_oracle(n):
+    words = successor_words(n)
+    last = len(words) - 1
+    # ranks at which the first n letters change, i.e. a new prefix starts
+    fresh = [r for r in range(1, len(words))
+             if words[r][:n] != words[r - 1][:n]]
+    mid = fresh[len(fresh) // 2]
+    starts = {0, 1, last // 7, last // 2, last - 1, last,
+              fresh[0], fresh[-1], mid - 1, mid, mid + 1}
+    for s in sorted(starts):
+        assert list(dyck_words(n, s)) == words[s:], s
 
 
 def test_stream_splits_by_rank_ranges():

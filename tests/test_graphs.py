@@ -409,6 +409,34 @@ def test_bipartite_rejects_odd_cycle():
     assert not triangle.is_bipartite()
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("mode", ["all", "centered"])
+def test_edges_equal_nested_loop_oracle(n, mode):
+    g = cached_graph(n, mode)
+    got = list(g.edges())
+    assert got == oracles.csr_edges(g.offsets, g.targets, g.flags)
+    assert all(type(cen) is bool for _, _, cen in got)
+
+
+@pytest.mark.parametrize("offsets, targets, flags", [
+    pytest.param(
+        [0, 2, 4, 6], [1, 2, 0, 2, 0, 1], bytes([1, 0, 1, 0, 0, 0]),
+        id="triangle"),
+    # rows 0 and 3 empty, a path 1 - 2 - 4 and a loop at 4, which is no
+    # edge: src < dst does not hold
+    pytest.param(
+        [0, 0, 1, 3, 3, 5], [2, 1, 4, 2, 4], bytes([1, 1, 0, 0, 1]),
+        id="empty-rows-and-loop"),
+])
+def test_edges_equal_nested_loop_oracle_on_small_csr(offsets, targets,
+                                                     flags):
+    g = FlipGraph(1, "all", array("q", offsets), array("i", targets), flags)
+    got = list(g.edges())
+    assert got == oracles.csr_edges(g.offsets, g.targets, g.flags)
+    assert all(type(cen) is bool for _, _, cen in got)
+    assert len(got) == g.edge_count
+
+
 def test_dot_output_shape():
     g = cached_graph(3, "all")
     lines = list(dot_lines(g))

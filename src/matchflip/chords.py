@@ -274,27 +274,12 @@ def chord_sign(n: int, e: Chord) -> int:
     return 1 if i % 2 else -1
 
 
-def _weight(n: int, partner) -> int:
-    # chord_sign * chord_length of each chord (a, b), a < b, in closed
-    # form; at even n the span d = b - a is odd.  Below n the minority
-    # side opens at a and holds d // 2 chords; above n it opens at
-    # b = a + d, of the other parity, and holds (2n - d) // 2.
-    total = 0
-    for a, b in enumerate(partner):
-        d = b - a
-        if d > 0:
-            if d < n:
-                total += d // 2 if a % 2 else -(d // 2)
-            else:
-                total += -((2 * n - d) // 2) if a % 2 else (2 * n - d) // 2
-    return total
-
-
 def weight(m: Matching) -> int:
     """Sum of sign * length over all edges; even n only."""
     if m.n % 2:
         raise ValueError("weights are defined for even n only")
-    return _weight(m.n, m._partner)
+    from .dyck import _weight, to_dyck    # dyck imports this module
+    return _weight(m.n, to_dyck(m))
 
 
 def ray_weight(m: Matching, k: int) -> int:
@@ -341,12 +326,7 @@ def mirror(m: Matching) -> Matching:
     return Matching(n, [(2 * n + 1 - b, 2 * n + 1 - a) for a, b in m.pairs])
 
 
-def _symmetric(n: int, partner) -> bool:
-    # fixed by the half turn: every partner shifts with its point
-    return all(partner[a + n] == (partner[a] + n - 1) % (2 * n) + 1
-               for a in range(1, n + 1))
-
-
 def is_centrally_symmetric(m: Matching) -> bool:
     """True iff the matching is fixed by point reflection through the center."""
-    return _symmetric(m.n, m._partner)
+    from .dyck import _symmetric, to_dyck
+    return _symmetric(m.n, to_dyck(m))

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, pi, sqrt
 
-from .chords import _symmetric, _weight, max_length
-from .dyck import (_band_weight, _partner_from_word, _peaks, catalan,
-                   dyck_words)
+from .chords import max_length
+from .dyck import (_band_weight, _peaks, _symmetric, _weight, _wraps,
+                   catalan, dyck_words)
 from .errors import VerificationError
 
 
@@ -175,15 +175,14 @@ def verify_counts(n: int) -> CountReport:
     perim_hist = [0] * (n + 1)
     even = n % 2 == 0
     for w in dyck_words(n):
-        partner = _partner_from_word(w)
         total += 1
-        n_symmetric += _symmetric(n, partner)
+        n_symmetric += _symmetric(n, w)
         pk = _peaks(w)
         if even:
-            wt = _weight(n, partner)
+            wt = _weight(n, w)
             weight_hist[wt] = weight_hist.get(wt, 0) + 1
             # the perimeter chords: one per UD factor, and (1, 2n)
-            perim_hist[pk + (partner[1] == 2 * n)] += 1
+            perim_hist[pk + _wraps(n, w)] += 1
         bw_hist[_band_weight(w)] += 1
         peak_hist[pk] += 1
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 from math import comb
+from operator import lt
 from typing import Iterator
 
 from .chords import (Chord, Matching, is_centrally_symmetric,
@@ -85,6 +86,69 @@ def _peaks(w: str) -> int:
 def _band_weight(w: str) -> int:
     # the height before position i has the parity of i
     return w[::2].count("U")
+
+
+@lru_cache(maxsize=None)
+def _open_ups(x: str) -> tuple[str, tuple[int, ...]]:
+    """For a word's first half x: x with the Us it leaves open turned
+    into D, and the indices of those Us, outermost first."""
+    stack: list[int] = []
+    for i, ch in enumerate(x):
+        if ch == "U":
+            stack.append(i)
+        else:
+            stack.pop()
+    out = list(x)
+    for i in stack:
+        out[i] = "D"
+    return "".join(out), tuple(stack)
+
+
+@lru_cache(maxsize=None)
+def _open_downs(t: str) -> tuple[int, ...]:
+    """For a word's second half t: the indices of the Ds that close a U
+    of the first half, outermost (last) first."""
+    depth = 0
+    out: list[int] = []
+    for i, ch in enumerate(t):
+        if ch == "U":
+            depth += 1
+        elif depth:
+            depth -= 1
+        else:
+            out.append(i)
+    return tuple(reversed(out))
+
+
+# The chords that cross the middle of a word w of 2n letters are
+# zip(_open_ups(w[:n])[1], _open_downs(w[n:])), outermost first: the U
+# at index u of the first half pairs with the D at index d of the
+# second, a chord of span n + d - u.
+
+def _symmetric(n: int, w: str) -> bool:
+    # the half turn maps a chord inside one half to the same chord inside
+    # the other, and a crossing chord (a, b) to (b - n, a + n), whose D
+    # sits where a's U was: w[n:] must be w[:n] with its open Us made D
+    return w[n:] == _open_ups(w[:n])[0]
+
+
+def _weight(n: int, w: str) -> int:
+    # even n.  Were every chord shorter than n, each would add its sign
+    # once per chord nested inside it; a U at height h is nested in h
+    # chords of alternating sign, +1 outermost, so the sum would count
+    # the Us at odd height, n - band weight.  A chord longer than n
+    # instead adds the n - 1 - k chords outside it with its sign flipped,
+    # not the k inside, a change of -(n - 1) times its inside sign.  The
+    # chords longer than n nest at depths 0..L-1, so those signs add up
+    # to L & 1.
+    longer = sum(map(lt, _open_ups(w[:n])[1], _open_downs(w[n:])))
+    return n - _band_weight(w) - (n - 1) * (longer & 1)
+
+
+def _wraps(n: int, w: str) -> bool:
+    # (1, 2n) is a chord: the outermost crossing chord spans the word
+    return (_open_ups(w[:n])[1][:1] == (0,)
+            and _open_downs(w[n:])[:1] == (n - 1,))
 
 
 def peaks(word: str) -> int:

@@ -17,14 +17,15 @@ from itertools import accumulate, chain, compress, islice, repeat, tee
 from operator import itemgetter, lt, sub
 from typing import Iterator
 
-from .chords import _symmetric, _weight
-from .dyck import (_partner_from_word, _unrank_word, catalan, dyck_words,
+from .dyck import (_symmetric, _unrank_word, _weight, catalan, dyck_words,
                    orbit_minima, rank, unrank)
 from .errors import ResourceLimitError
 from .flips import flip_cells
 
 MODES = ("all", "centered")
 _first, _second = itemgetter(0), itemgetter(1)
+# ranks per worker task: the parent merges one such chunk at a time
+_CHUNK_RANKS = 2048
 
 
 def _chunk_rows(args) -> tuple[int, list[int], array, bytes]:
@@ -45,7 +46,9 @@ def _chunk_rows(args) -> tuple[int, list[int], array, bytes]:
 
 def _estimate_bytes(n: int) -> int:
     v = catalan(n)
-    # every vertex has < 2n flippable pairs; 5 bytes per stored arc end
+    # the mean degree is 2n(n-1)/(n+2) < 2n (the degrees add up to
+    # C_n * 2n(n-1)/(n+2), checked by enumeration for n = 2..11), though
+    # UDUD...UD has degree n(n-1)/2; 5 bytes per stored arc end
     return 8 * (v + 1) + 5 * 2 * n * v
 
 
@@ -164,10 +167,9 @@ def component_report(g: FlipGraph) -> list[dict]:
     sym = bytearray()
     wts = array("b")
     for w in dyck_words(g.n):
-        partner = _partner_from_word(w)
-        sym.append(_symmetric(g.n, partner))
+        sym.append(_symmetric(g.n, w))
         if even:
-            wts.append(_weight(g.n, partner))
+            wts.append(_weight(g.n, w))
     report = []
     for comp in g.components():
         edges = g.component_edge_count(comp)
@@ -186,9 +188,12 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
                      mem_budget: int | None = None) -> FlipGraph:
     """Enumerate all matchings of size n and wire up their flips.
 
-    threads > 1 splits the rank range over worker processes; the result is
-    byte-identical for any thread count.  mem_budget (bytes) is checked
-    against a size estimate before any allocation.
+    threads > 1 hands chunks of at most _CHUNK_RANKS ranks, at least 4
+    per worker, to fork workers in rank order; the parent appends each
+    chunk's rows as it arrives, so besides the graph it holds only a few
+    chunks.  The result is byte-identical for any thread count.
+    mem_budget (bytes) is checked against a size estimate before any
+    allocation.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -207,8 +212,8 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
     else:
         import multiprocessing as mp
 
-        bounds = [v * i // threads for i in range(threads + 1)]
-        jobs = [(n, mode, bounds[i], bounds[i + 1]) for i in range(threads)]
+        size = min(_CHUNK_RANKS, -(-v // (4 * threads)))
+        jobs = [(n, mode, s, min(s + size, v)) for s in range(0, v, size)]
         offsets = array("q", [0])
         targets = array("i")
         flags = bytearray()

@@ -113,6 +113,30 @@ def oracle_weight(n: int, pairs) -> int:
                for e in pairs)
 
 
+def partner_weight(n: int, partner) -> int:
+    """Weight from a partner array (partner[a] = b for every chord):
+    chord_sign * chord_length of each chord (a, b), a < b, in closed
+    form; the reference for the engine's word form."""
+    # at even n the span d = b - a is odd.  Below n the minority side
+    # opens at a and holds d // 2 chords; above n it opens at b = a + d,
+    # of the other parity, and holds (2n - d) // 2.
+    total = 0
+    for a, b in enumerate(partner):
+        d = b - a
+        if d > 0:
+            if d < n:
+                total += d // 2 if a % 2 else -(d // 2)
+            else:
+                total += -((2 * n - d) // 2) if a % 2 else (2 * n - d) // 2
+    return total
+
+
+def partner_symmetric(n: int, partner) -> bool:
+    """Fixed by the half turn: every partner shifts with its point."""
+    return all(partner[a + n] == (partner[a] + n - 1) % (2 * n) + 1
+               for a in range(1, n + 1))
+
+
 def _ray_hits_segment(n: int, k: int, e) -> bool:
     """Does the open ray from the origin through point k cross chord e?"""
     p = point(n, k)

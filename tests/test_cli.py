@@ -228,9 +228,13 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+# verify at n = 8 and 9 prints the symmetric, weight and perimeter rows
+# that the word census decides
 @pytest.mark.parametrize("argv", [["verify", "--n", "7"],
                                   ["rainbow", "--n", "6", "--r", "2"],
-                                  ["rainbow", "--n", "6", "--r", "1"]])
+                                  ["rainbow", "--n", "6", "--r", "1"],
+                                  ["verify", "--n", "8"],
+                                  ["verify", "--n", "9"]])
 def test_optimized_python_prints_the_same_bytes(argv):
     # python -O strips asserts; no printed result may depend on them
     procs = [subprocess.run([sys.executable, *flags, "-m", "matchflip.cli",
@@ -305,6 +309,22 @@ def test_json_peak_memory_matches_table(argv):
         assert proc.returncode == 0
         peak_kib[fmt] = int(proc.stderr.split()[-1])
     assert peak_kib["json"] <= peak_kib["table"] + 5 * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs /proc/self/status")
+def test_two_worker_build_peak_memory_matches_one_process():
+    # the parent merges the workers' rows a small rank chunk at a time,
+    # so it never holds a second copy of the graph
+    peak_kib = {}
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_HWM, "graph", "--n", "11", "--mode",
+             "all", "--format", "table", "--threads", threads],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 0
+        peak_kib[threads] = int(proc.stderr.split()[-1])
+    assert peak_kib["2"] <= peak_kib["1"] + 4 * 1024
 
 
 def test_output_is_deterministic(capsys):

@@ -14,6 +14,7 @@ from matchflip.dyck import (band_weight, bits_to_symmetric, dyck_words,
                             peaks, rank, segment_to_dyck, symmetric_to_bits,
                             to_dyck, unrank, validate_word)
 
+import oracles
 from oracles import (brute_band_weight, brute_peaks, is_noncrossing,
                      successor_words)
 
@@ -133,6 +134,25 @@ def test_validate_word_rejections(bad):
 def test_from_dyck_rejects_empty():
     with pytest.raises(ValueError):
         from_dyck("")
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_word_census_equals_partner_references(n):
+    # symmetry, weight and the (1, 2n) chord are read from the word; the
+    # partner-array forms they replaced are the references
+    for w in dyck_words(n):
+        p = dyck._partner_from_word(w)
+        assert dyck._symmetric(n, w) == oracles.partner_symmetric(n, p), w
+        assert dyck._wraps(n, w) == (p[1] == 2 * n), w
+        if n % 2 == 0:
+            assert dyck._weight(n, w) == oracles.partner_weight(n, p), w
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_partner_weight_reference_equals_geometric_oracle(n):
+    for m in enumerate_matchings(n):
+        assert (oracles.partner_weight(n, m._partner)
+                == oracles.oracle_weight(n, m.pairs)), m
 
 
 def test_peaks_and_band_weight_hand_values():

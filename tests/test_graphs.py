@@ -146,16 +146,29 @@ def test_memory_budget_is_enforced_before_allocation():
     assert g.vertex_count == 14
 
 
-# every worker but the first starts the flip stream mid-order
+# every chunk but the first starts the flip stream mid-order; at n = 10
+# the 16,796 ranks are not a multiple of the 2,048-rank chunk
 @pytest.mark.parametrize("n, mode, threads", [
     pytest.param(5, "all", 2, id="2"), pytest.param(5, "all", 3, id="3")]
-    + [(9, mode, t) for mode in ("all", "centered") for t in (2, 3, 7)])
+    + [(9, mode, t) for mode in ("all", "centered") for t in (2, 3, 7)]
+    + [(10, "all", 2)])
 def test_threaded_build_is_byte_identical(n, mode, threads):
-    a = cached_graph(n, mode)      # one process below n = 10
+    # the reference is built in one process (cached_graph is below n = 10)
+    a = build_flip_graph(n, mode) if n >= 10 else cached_graph(n, mode)
     b = build_flip_graph(n, mode, threads=threads)
     assert a.offsets == b.offsets
     assert a.targets == b.targets
     assert a.flags == b.flags
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_degree_sum_and_maximum(n):
+    # the mean degree behind _estimate_bytes, and the largest degree,
+    # that of UDUD...UD, whose chords are pairwise flippable
+    g = cached_graph(n, "all")
+    assert 2 * g.edge_count * (n + 2) == catalan(n) * 2 * n * (n - 1)
+    assert max(g.degrees()) == g.degree(g.vertex_count - 1) == n * (n - 1) // 2
+    assert g.word(g.vertex_count - 1) == "UD" * n
 
 
 def test_degree_summary_is_consistent():

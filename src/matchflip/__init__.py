@@ -26,8 +26,7 @@ from .flips import (Flip, apply_flip, flippable_pairs, is_centered,
                     make_flip, neighbors, replay)
 from .graphs import (DiameterResult, FlipGraph, bfs_distance, bfs_distances,
                      bfs_layers, build_flip_graph, component_report,
-                     csv_lines, diameter, dot_lines, eccentricity,
-                     graph_json_obj)
+                     csv_lines, diameter, dot_lines, graph_json_obj)
 from .rainbow import (RainbowResult, admissible_chords, find_rainbow_cycle,
                       nonexistence_bound, odd_average_certificate,
                       verify_rainbow)
@@ -44,7 +43,7 @@ __all__ = [
     "chord_length", "chord_sign", "class_partition_size",
     "component_report", "component_size_fraction", "csv_lines",
     "diameter", "diameter_chord", "dot_lines", "dyck_words",
-    "eccentricity", "enumerate_matchings", "find_rainbow_cycle",
+    "enumerate_matchings", "find_rainbow_cycle",
     "flippable_pairs", "from_dyck", "graph_json_obj", "hidden_behind",
     "hides", "is_centered", "is_centrally_symmetric", "is_diameter",
     "make_chord", "make_flip", "max_length", "mirror", "narayana",

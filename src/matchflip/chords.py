@@ -67,12 +67,7 @@ def hides(n: int, e: Chord, p: int) -> bool:
         raise ValueError(f"point {p} is an endpoint of {e}")
     if not 1 <= p <= 2 * n:
         raise ValueError(f"point {p} out of range 1..{2 * n}")
-    d = b - a
-    if d == n:
-        return False
-    if d < n:
-        return a < p < b
-    return p < a or p > b
+    return _hides_fast(n, a, b, p)
 
 
 def _hides_fast(n: int, a: int, b: int, p: int) -> bool:

@@ -212,19 +212,22 @@ def orbit_ranks(w: str, mirrors: bool = True) -> Iterator[int]:
     """Ranks of the 2n rotations of w's matching, then of its mirror's.
 
     Rotation k turns the matching clockwise by k points (k = 0 is w
-    itself); the mirror's word is w reversed with U and D swapped.  Lazy,
-    with repeats; mirrors=False stops after the rotations.
+    itself); the mirror's word is w reversed with U and D swapped.  One
+    turn edits two letters: with word = X + "U" + B + "D", where the last
+    D closes that U, point 2n becomes point 1 and the word becomes
+    "U" + X + "D" + B.  Lazy, with repeats; mirrors=False stops after the
+    rotations.
     """
-    n2 = len(w)
     words = (w, w[::-1].translate(_SWAP)) if mirrors else (w,)
     for word in words:
-        partner = _partner_from_word(word)
-        for k in range(n2):
-            rot = [0] * (n2 + 1)
-            for x in range(1, n2 + 1):
-                rot[(x + k - 1) % n2 + 1] = (partner[x] + k - 1) % n2 + 1
-            yield _word_rank("".join("U" if rot[x] > x else "D"
-                                     for x in range(1, n2 + 1)))
+        for _ in range(len(w)):
+            yield _word_rank(word)
+            h = 0
+            for i in range(len(word) - 1, -1, -1):
+                h += 1 if word[i] == "D" else -1
+                if not h:
+                    break
+            word = "U" + word[:i] + "D" + word[i + 1:-1]
 
 
 def orbit_minima(n: int, mirrors: bool = True) -> bytearray:

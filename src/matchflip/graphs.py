@@ -18,7 +18,7 @@ from operator import itemgetter, lt, sub
 from typing import Iterator
 
 from .dyck import (_symmetric, _unrank_word, _weight, catalan, dyck_words,
-                   orbit_minima, rank, unrank)
+                   orbit_minima, unrank)
 from .errors import ResourceLimitError
 from .flips import flip_cells
 
@@ -28,7 +28,7 @@ _first, _second = itemgetter(0), itemgetter(1)
 _CHUNK_RANKS = 2048
 
 
-def _chunk_rows(args) -> tuple[int, list[int], array, bytes]:
+def _chunk_rows(args) -> tuple[list[int], array, bytes]:
     """Adjacency rows for ranks [start, stop); multiprocessing worker."""
     n, mode, start, stop = args
     centered_only = mode == "centered"
@@ -41,7 +41,7 @@ def _chunk_rows(args) -> tuple[int, list[int], array, bytes]:
         counts.append(len(cells))
         targets.extend(map(_first, cells))
         flags.extend(map(_second, cells))
-    return start, counts, targets, bytes(flags)
+    return counts, targets, bytes(flags)
 
 
 def _estimate_bytes(n: int) -> int:
@@ -110,15 +110,6 @@ class FlipGraph:
     def word(self, r: int) -> str:
         return _unrank_word(self.n, r)
 
-    def rank_of(self, m) -> int:
-        if m.n != self.n:
-            raise ValueError(f"matching size {m.n} does not fit graph n={self.n}")
-        return rank(m)
-
-    def vertices_with_degree(self, k: int) -> list[int]:
-        off = self.offsets
-        return [r for r in range(self.vertex_count) if off[r + 1] - off[r] == k]
-
     def degree_summary(self) -> dict:
         degs = self.degrees()
         lo, hi = min(degs), max(degs)
@@ -145,7 +136,8 @@ class FlipGraph:
         return sum(self.degree(r) for r in comp) // 2
 
     def is_connected(self) -> bool:
-        return eccentricity(self, 0)[1] == self.vertex_count
+        dist = array("i", [-1]) * self.vertex_count
+        return len(_bfs(self, 0, dist)) == self.vertex_count
 
     def is_bipartite(self) -> bool:
         # an odd cycle exists iff some edge joins two BFS distances of
@@ -207,7 +199,7 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
             f"over the budget of {mem_budget}")
     v = catalan(n)
     if threads == 1 or v < 4 * threads:
-        _, counts, targets, flags = _chunk_rows((n, mode, 0, v))
+        counts, targets, flags = _chunk_rows((n, mode, 0, v))
         offsets = array("q", accumulate(counts, initial=0))
     else:
         import multiprocessing as mp
@@ -221,7 +213,7 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
         with ctx.Pool(threads) as pool:
             # a chunk's offsets go on from the last one, so no list of
             # row counts outlives its chunk
-            for _, counts, tg, fl in pool.imap(_chunk_rows, jobs):
+            for counts, tg, fl in pool.imap(_chunk_rows, jobs):
                 offsets.extend(accumulate(counts, initial=offsets.pop()))
                 targets.extend(tg)
                 flags.extend(fl)
@@ -269,13 +261,6 @@ def bfs_layers(g: FlipGraph, src: int) -> list[list[int]]:
         if d >= 0:
             layers[d].append(r)
     return layers
-
-
-def eccentricity(g: FlipGraph, src: int) -> tuple[int, int]:
-    """(max distance over the component of src, component size)."""
-    dist = array("i", [-1]) * g.vertex_count
-    order = _bfs(g, src, dist)
-    return dist[order[-1]], len(order)
 
 
 def _farthest(g: FlipGraph, sources) -> dict[int, tuple[int, int]]:

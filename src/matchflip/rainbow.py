@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator
 
 from .chords import Chord, Matching, max_length
@@ -115,6 +115,7 @@ class _Search:
         self.length = length
         self.budget = budget
         self.expanded = 0
+        self.minima = orbit_minima(n, mirrors=False)
 
     def run(self, comp: list[int]) -> tuple[list[tuple[Chord, Chord]], int] | None:
         n, length, budget = self.n, self.length, self.budget
@@ -163,7 +164,7 @@ class _Search:
 
         try:
             for start in comp:
-                if self._orbit_minimal(start):
+                if self.minima[start]:
                     walk = dfs(start, fill, length - 1)
                     if walk is not None:
                         walk.reverse()
@@ -173,13 +174,6 @@ class _Search:
         finally:
             self.expanded = expanded
         return None
-
-    @cached_property
-    def _minima(self) -> bytearray:
-        return orbit_minima(self.n, mirrors=False)
-
-    def _orbit_minimal(self, v: int) -> bool:
-        return bool(self._minima[v])
 
 
 def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,

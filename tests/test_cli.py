@@ -228,6 +228,14 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_export_list_resolves_without_repeats():
+    # `from matchflip import *` fails on a name that is listed but gone
+    import matchflip
+    for name in matchflip.__all__:
+        getattr(matchflip, name)
+    assert len(set(matchflip.__all__)) == len(matchflip.__all__)
+
+
 # verify at n = 8 and 9 prints the symmetric, weight and perimeter rows
 # that the word census decides
 @pytest.mark.parametrize("argv", [["verify", "--n", "7"],

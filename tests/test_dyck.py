@@ -10,17 +10,19 @@ from matchflip import dyck
 from matchflip.counts import catalan
 from matchflip.errors import VerificationError
 from matchflip.dyck import (band_weight, bits_to_symmetric, dyck_words,
-                            enumerate_matchings, from_dyck, orbit_ranks,
-                            peaks, rank, segment_to_dyck, symmetric_to_bits,
-                            to_dyck, unrank, validate_word)
+                            enumerate_matchings, from_dyck, orbit_minima,
+                            orbit_ranks, peaks, rank, segment_to_dyck,
+                            symmetric_to_bits, to_dyck, unrank,
+                            validate_word)
 
 import oracles
 from oracles import (brute_band_weight, brute_peaks, is_noncrossing,
                      successor_words)
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_orbit_ranks_are_the_dihedral_images(n):
+    minima, rotation_minima = orbit_minima(n), orbit_minima(n, mirrors=False)
     for r, m in enumerate(enumerate_matchings(n)):
         w = to_dyck(m)
         rotations = [rank(rotate(m, k)) for k in range(2 * n)]
@@ -28,6 +30,8 @@ def test_orbit_ranks_are_the_dihedral_images(n):
         assert list(orbit_ranks(w, mirrors=False)) == rotations
         assert list(orbit_ranks(w)) == rotations + mirrored
         assert rotations[0] == r
+        assert minima[r] == (r == min(rotations + mirrored))
+        assert rotation_minima[r] == (r == min(rotations))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

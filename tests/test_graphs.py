@@ -9,13 +9,13 @@ import pytest
 
 from matchflip.chords import rotate
 from matchflip.counts import catalan
-from matchflip.dyck import enumerate_matchings, to_dyck, unrank
+from matchflip.dyck import enumerate_matchings, rank, to_dyck, unrank
 from matchflip.errors import ResourceLimitError
 from matchflip.flips import is_centered, neighbors
 from matchflip.graphs import (FlipGraph, _farthest, bfs_distance,
                               bfs_distances, bfs_layers, build_flip_graph,
                               component_report, csv_lines, diameter,
-                              dot_lines, eccentricity, graph_json_obj)
+                              dot_lines, graph_json_obj)
 
 import oracles
 from conftest import cached_graph
@@ -28,7 +28,7 @@ def test_adjacency_matches_per_matching_neighbors(n, mode):
     assert g.vertex_count == catalan(n)
     for r in range(g.vertex_count):
         m = g.matching(r)
-        expected = sorted(g.rank_of(nb) for nb in neighbors(m, mode=mode))
+        expected = sorted(rank(nb) for nb in neighbors(m, mode=mode))
         assert list(g.neighbors(r)) == expected
         assert g.degree(r) == len(expected)
 
@@ -126,7 +126,7 @@ def test_vertex_labels_round_trip():
     g = cached_graph(4, "all")
     for r in range(g.vertex_count):
         assert g.word(r) == to_dyck(g.matching(r))
-        assert g.rank_of(g.matching(r)) == r
+        assert rank(g.matching(r)) == r
     assert g.matching(5) == unrank(4, 5)
 
 
@@ -181,8 +181,8 @@ def test_degree_summary_is_consistent():
     assert summary["max_count"] == degs.count(summary["max"])
     assert sum(summary["histogram"].values()) == g.vertex_count
     assert summary["histogram"][summary["max"]] == summary["max_count"]
-    assert g.vertices_with_degree(summary["max"]) == [
-        r for r, d in enumerate(degs) if d == summary["max"]]
+    assert [r for r, d in enumerate(degs) if d == summary["max"]] == [
+        r for r in range(g.vertex_count) if g.degree(r) == summary["max"]]
 
 
 def test_components_ordering_and_sizes():
@@ -260,9 +260,6 @@ def test_bfs_helpers_agree():
     assert sum(len(layer) for layer in layers) == g.vertex_count
     for dst in (0, 13, 41):
         assert bfs_distance(g, src, dst) == dist[dst]
-    ecc, reached = eccentricity(g, src)
-    assert ecc == max(dist)
-    assert reached == g.vertex_count
 
 
 def test_bfs_distance_unreachable_is_none():

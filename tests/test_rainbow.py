@@ -7,6 +7,7 @@ import pytest
 from matchflip import rainbow
 from matchflip.chords import chord_length
 from matchflip.cli import EXIT_MISMATCH, main
+from matchflip.dyck import rank
 from matchflip.errors import VerificationError
 from matchflip.flips import Flip
 from matchflip.graphs import build_flip_graph
@@ -160,7 +161,7 @@ def test_search_matches_list_counter_oracle(n, r):
     for comp in comps:
         cand = {v: rainbow._candidates(n, v) for v in comp}
         probe = rainbow._Search(n, r, 2, budget)
-        starts = [v for v in comp if probe._orbit_minimal(v)]
+        starts = [v for v in comp if probe.minima[v]]
         for length in range(2, 11):
             search = rainbow._Search(n, r, length, budget)
             try:
@@ -202,8 +203,7 @@ def test_verifier_rejects_corrupted_cycles():
     assert verify_rainbow(4, 1, res.start, lied)[0] is False
 
     # starting elsewhere breaks closure
-    other = cached_graph(4, "centered").matching(
-        (cached_graph(4, "centered").rank_of(res.start) + 1) % 14)
+    other = cached_graph(4, "centered").matching((rank(res.start) + 1) % 14)
     assert verify_rainbow(4, 1, other, flips)[0] is False
 
 

@@ -24,9 +24,9 @@ from .dyck import (band_weight, bits_to_symmetric, dyck_words,
 from .errors import ResourceLimitError, VerificationError
 from .flips import (Flip, apply_flip, flippable_pairs, is_centered,
                     make_flip, neighbors, replay)
-from .graphs import (DiameterResult, FlipGraph, bfs_distance, bfs_distances,
-                     bfs_layers, build_flip_graph, component_report,
-                     csv_lines, diameter, dot_lines, graph_json_obj)
+from .graphs import (DiameterResult, FlipGraph, bfs_distances,
+                     build_flip_graph, component_report, csv_lines, diameter,
+                     dot_lines, graph_json_obj)
 from .rainbow import (RainbowResult, admissible_chords, find_rainbow_cycle,
                       nonexistence_bound, odd_average_certificate,
                       verify_rainbow)
@@ -37,8 +37,8 @@ __all__ = [
     "Chord", "CountReport", "CountRow", "DiameterResult", "Flip",
     "FlipGraph", "Matching", "RainbowResult", "ResourceLimitError",
     "VerificationError", "admissible_chords",
-    "antipodal", "apply_flip", "band_weight", "bfs_distance",
-    "bfs_distances", "bfs_layers", "bits_to_symmetric",
+    "antipodal", "apply_flip", "band_weight", "bfs_distances",
+    "bits_to_symmetric",
     "build_flip_graph", "canonical_flip_sequence", "catalan",
     "chord_length", "chord_sign", "class_partition_size",
     "component_report", "component_size_fraction", "csv_lines",

@@ -159,7 +159,7 @@ def _edge_chunks(edges, size: int = 2048):
 
 
 def _graph_json(g):
-    """`_dump(graph_json_obj(g, include_words=True))` as text chunks, with
+    """`_dump(graph_json_obj(g))` as text chunks, with
     edges from the CSR and words from one `dyck_words` stream."""
     yield f'{{\n  "edge_count": {g.edge_count},\n  "edges": '
     yield from _json_array(_edge_chunks(g.edges()), "  ")

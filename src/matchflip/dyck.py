@@ -331,20 +331,10 @@ def dyck_words(n: int, start_rank: int = 0) -> Iterator[str]:
                                      for p, hp in heads[i + 1:]))
 
 
-def enumerate_matchings(n: int, start_rank: int = 0,
-                        stop_rank: int | None = None) -> Iterator[Matching]:
-    """Stream matchings in canonical rank order.
-
-    The stream may be split by rank ranges: [start_rank, stop_rank) of the
-    full order, so disjoint ranges partition the enumeration deterministically.
-    """
-    count = catalan(n) if stop_rank is None else stop_rank
-    r = start_rank
-    for w in dyck_words(n, start_rank):
-        if r >= count:
-            return
+def enumerate_matchings(n: int) -> Iterator[Matching]:
+    """Stream matchings in canonical rank order."""
+    for w in dyck_words(n):
         yield Matching._from_partner(n, _partner_from_word(w))
-        r += 1
 
 
 def symmetric_to_bits(m: Matching) -> str:

@@ -8,10 +8,13 @@ center on the quadrilateral boundary still counts as centered).
 
 On balanced words a flip is a transposition of two letters, so the rank
 of every neighbour follows from the current rank in O(1).  flip_cells
-below is the one kernel that graph builds and the rainbow search use: a
+below is the one code that lists a matching's flips: graph builds, the
+rainbow search, flippable_pairs and neighbors all read it.  It is a
 pass over a stream of (word, rank) pairs that keeps its state between
 words, so each word redoes only the letters after the prefix it shares
 with the one before, after undoing the previous word's letters there.
+_is_flippable, is_centered, apply_flip and replay decide a single flip
+from the chords instead, and so check routes independently of it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .chords import Chord, Matching, chord_length, make_chord
-from .dyck import _d_terms, to_dyck
+from .dyck import _d_terms, rank, to_dyck, unrank
 
 
 @dataclass(frozen=True)
@@ -84,36 +87,6 @@ def _is_flippable(n: int, partner, e: Chord, f: Chord) -> bool:
     return True
 
 
-def _forest_pairs(n: int, partner) -> list[tuple[Chord, Chord]]:
-    """All flippable pairs via the nesting forest.
-
-    A pair is flippable exactly when the two chords are parent and child or
-    siblings in the chord-containment forest (the virtual root makes all
-    outermost chords mutual siblings).
-    """
-    kids: dict[int, list[Chord]] = {0: []}
-    stack = [0]
-    for x in range(1, 2 * n + 1):
-        if partner[x] > x:
-            kids[x] = []
-            stack.append(x)
-        else:
-            stack.pop()
-            kids[stack[-1]].append((partner[x], x))
-    pairs = []
-    for opener, group in kids.items():
-        if opener:
-            parent = (opener, partner[opener])
-            for child in group:
-                pairs.append((parent, child) if parent < child
-                             else (child, parent))
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                pairs.append((group[i], group[j]))
-    pairs.sort()
-    return pairs
-
-
 @lru_cache(maxsize=None)
 def _span_lengths(n: int) -> tuple[int, ...]:
     # chord_length by span b - a, for spans 1..2n-1
@@ -132,8 +105,12 @@ def flip_cells(n: int, words: Iterable[tuple[str, int]],
     may repeat words.  centered_only drops the other flips.  A list is
     unordered.  One word is a one-pair stream.
 
-    Flippable pairs are parent-child and sibling pairs of the nesting
-    forest (see _forest_pairs).  With p1 < p2 < p3 < p4 the endpoints as
+    Two chords span an empty quadrilateral exactly when they are parent
+    and child or siblings in the nesting forest of the matching's chords
+    (a virtual root makes all outermost chords mutual siblings), so the
+    pass keeps, per open chord, the children closed inside it so far, and
+    at each D pairs the closed chord with them and with its earlier
+    siblings.  With p1 < p2 < p3 < p4 the endpoints as
     0-based positions, a flip transposes two letters of the word:
       siblings (p1,p2), (p3,p4) -> (p2,p3), (p1,p4): p2 turns D->U and p3
         U->D, and every letter strictly between them rises by 2;
@@ -222,7 +199,8 @@ def flip_cells(n: int, words: Iterable[tuple[str, int]],
 
 def flippable_pairs(m: Matching) -> list[tuple[Chord, Chord]]:
     """Unordered edge pairs of m that admit a flip, sorted canonically."""
-    return _forest_pairs(m.n, m._partner)
+    return sorted(((a, b), (c, d)) for _, _, a, b, c, d
+                  in next(flip_cells(m.n, [(to_dyck(m), 0)])))
 
 
 def make_flip(n: int, e: Chord, f: Chord) -> Flip:
@@ -263,19 +241,11 @@ def replay(m: Matching, flips) -> Matching:
 
 
 def neighbors(m: Matching, mode: str = "all") -> list[Matching]:
-    """Matchings one flip away, in canonical (balanced-word) rank order.
+    """Matchings one flip away, in rank order (as FlipGraph.neighbors).
 
     mode="centered" keeps only centered flips.
     """
     if mode not in ("all", "centered"):
         raise ValueError(f"unknown mode {mode!r}")
-    n = m.n
-    out = []
-    for e, f in _forest_pairs(n, m._partner):
-        if mode == "centered" and not is_centered(n, e, f):
-            continue
-        in1, in2 = _in_chords(e, f)
-        pairs = [c for c in m.pairs if c != e and c != f] + [in1, in2]
-        out.append(Matching(n, pairs))
-    out.sort(key=to_dyck)
-    return out
+    cells = next(flip_cells(m.n, [(to_dyck(m), rank(m))], mode == "centered"))
+    return [unrank(m.n, r) for r in sorted(cell[0] for cell in cells)]

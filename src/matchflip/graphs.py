@@ -247,22 +247,6 @@ def bfs_distances(g: FlipGraph, src: int) -> list[int]:
     return dist
 
 
-def bfs_distance(g: FlipGraph, src: int, dst: int) -> int | None:
-    """Flip distance between two ranks, None if in different components."""
-    d = bfs_distances(g, src)[dst]
-    return d if d >= 0 else None
-
-
-def bfs_layers(g: FlipGraph, src: int) -> list[list[int]]:
-    """Vertices grouped by distance from src, each layer sorted."""
-    dist = bfs_distances(g, src)
-    layers: list[list[int]] = [[] for _ in range(max(dist) + 1)]
-    for r, d in enumerate(dist):
-        if d >= 0:
-            layers[d].append(r)
-    return layers
-
-
 def _farthest(g: FlipGraph, sources) -> dict[int, tuple[int, int]]:
     """{source: (eccentricity, smallest rank at that distance)}.
 
@@ -395,14 +379,12 @@ def csv_lines(g: FlipGraph) -> Iterator[str]:
                  map("%d,%d,%d".__mod__, g.edges()))
 
 
-def graph_json_obj(g: FlipGraph, include_words: bool = False) -> dict:
-    obj: dict = {
+def graph_json_obj(g: FlipGraph) -> dict:
+    return {
         "n": g.n,
         "mode": g.mode,
         "vertex_count": g.vertex_count,
         "edge_count": g.edge_count,
         "edges": [[r, s, int(cen)] for r, s, cen in g.edges()],
+        "words": list(dyck_words(g.n)),
     }
-    if include_words:
-        obj["words"] = list(dyck_words(g.n))
-    return obj

@@ -15,7 +15,8 @@ from matchflip.chords import (Matching, chord_length, chord_sign,
                               perimeter_edge_count, perimeter_matching,
                               segment, visible_edges, weight)
 from matchflip.construct import canonical_flip_sequence, perimeter_swap_path
-from matchflip.counts import catalan, narayana, symmetric_count
+from matchflip.counts import (catalan, narayana, predicted_extremes,
+                              symmetric_count)
 from matchflip.dyck import (band_weight, bits_to_symmetric, dyck_words,
                             enumerate_matchings, from_dyck, peaks, rank,
                             segment_to_dyck, symmetric_to_bits, to_dyck,
@@ -53,12 +54,12 @@ def test_criterion_02_degrees_odd():
 
 def test_criterion_03_degrees_even():
     with criterion(3, "even-n degrees: max n/2 counts, min 1 structure"):
-        max_counts = {2: 2, 4: 10, 6: 54, 8: 274, 10: 1326}
         for n in (2, 4, 6, 8, 10):
             h = cached_graph(n, "centered")
             degs = h.degrees()
             assert max(degs) == n // 2
-            assert degs.count(n // 2) == max_counts[n]
+            assert (degs.count(n // 2)
+                    == predicted_extremes(n)["max_degree_count"])
             assert min(degs) == 1
             assert degs.count(1) == n * catalan((n - 2) // 2) ** 2
             mu = max_length(n)

@@ -274,7 +274,7 @@ def test_streamed_graph_json_matches_dump(n, mode):
     # n = 1 has no edges ("edges": []); n >= 8 is beyond the golden digests
     g = cached_graph(n, mode)
     assert ("".join(cli._graph_json(g))
-            == cli._dump(graph_json_obj(g, include_words=True)))
+            == cli._dump(graph_json_obj(g)))
 
 
 @pytest.mark.parametrize("n", range(2, 10))

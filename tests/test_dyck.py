@@ -111,18 +111,6 @@ def test_stream_from_sampled_ranks_equals_successor_oracle(n):
         assert list(dyck_words(n, s)) == words[s:], s
 
 
-def test_stream_splits_by_rank_ranges():
-    n = 6
-    total = catalan(n)
-    cuts = [0, 17, 100, 101, total]
-    pieces = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        pieces.extend(enumerate_matchings(n, start_rank=lo, stop_rank=hi))
-    assert pieces == list(enumerate_matchings(n))
-    assert list(enumerate_matchings(n, start_rank=total - 2)) == [
-        unrank(n, total - 2), unrank(n, total - 1)]
-
-
 def test_validate_word_accepts_both_alphabets():
     assert validate_word("UUDD") == "UUDD"
     assert validate_word("(())") == "UUDD"

@@ -5,15 +5,16 @@ import pytest
 from matchflip import (Matching, apply_flip, diameter_chord, flippable_pairs,
                        is_centered, make_flip, neighbors, replay)
 from matchflip.counts import catalan
-from matchflip.dyck import _unrank_word, enumerate_matchings
+from matchflip.dyck import _unrank_word, enumerate_matchings, rank, unrank
 from matchflip.flips import _in_chords, flip_cells
 
 import oracles
 from conftest import cached_graph
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 8))
 def test_flippable_pairs_against_brute_force(n):
+    # flippable_pairs reads the (a, b, c, d) chord fields of flip_cells
     for m in enumerate_matchings(n):
         expect = oracles.oracle_flippable_pairs(n, m.pairs)
         got = flippable_pairs(m)
@@ -97,6 +98,15 @@ def test_neighbors_match_flippable_pairs(mode):
             assert len(nbrs) == len(pairs)
             assert len(set(nbrs)) == len(nbrs)
             assert set(nbrs) == {apply_flip(m, e, f) for e, f in pairs}
+
+
+@pytest.mark.parametrize("mode", ("all", "centered"))
+def test_neighbors_in_rank_order(mode):
+    for n in (3, 4, 5, 6):
+        g = cached_graph(n, mode)
+        for r in range(g.vertex_count):
+            got = [rank(x) for x in neighbors(unrank(n, r), mode)]
+            assert got == list(g.neighbors(r)), r
 
 
 @pytest.mark.parametrize("n", (3, 5, 7))

@@ -12,10 +12,9 @@ from matchflip.counts import catalan
 from matchflip.dyck import enumerate_matchings, rank, to_dyck, unrank
 from matchflip.errors import ResourceLimitError
 from matchflip.flips import is_centered, neighbors
-from matchflip.graphs import (FlipGraph, _farthest, bfs_distance,
-                              bfs_distances, bfs_layers, build_flip_graph,
-                              component_report, csv_lines, diameter,
-                              dot_lines, graph_json_obj)
+from matchflip.graphs import (FlipGraph, _farthest, bfs_distances,
+                              build_flip_graph, component_report, csv_lines,
+                              diameter, dot_lines, graph_json_obj)
 
 import oracles
 from conftest import cached_graph
@@ -251,22 +250,21 @@ def test_bfs_helpers_agree():
     g = cached_graph(5, "all")
     src = 7
     dist = bfs_distances(g, src)
-    layers = bfs_layers(g, src)
-    assert layers[0] == [src]
-    for d, layer in enumerate(layers):
-        assert layer == sorted(layer)
-        for v in layer:
-            assert dist[v] == d
-    assert sum(len(layer) for layer in layers) == g.vertex_count
-    for dst in (0, 13, 41):
-        assert bfs_distance(g, src, dst) == dist[dst]
+    # every vertex is reached, src alone at distance 0, and every other
+    # vertex has a neighbour one step closer and none further than one
+    assert -1 not in dist
+    assert [r for r, d in enumerate(dist) if d == 0] == [src]
+    for r, d in enumerate(dist):
+        near = [dist[s] for s in g.neighbors(r)]
+        assert all(abs(x - d) <= 1 for x in near)
+        assert r == src or d - 1 in near
+    assert [dist[dst] for dst in (0, 13, 41)] == [2, 3, 2]
 
 
 def test_bfs_distance_unreachable_is_none():
     h4 = cached_graph(4, "centered")
     comps = h4.components()
     a, b = comps[0][0], comps[1][0]
-    assert bfs_distance(h4, a, b) is None
     assert bfs_distances(h4, a)[b] == -1
 
 
@@ -276,7 +274,7 @@ def test_diameter_exact_small():
     res = diameter(cached_graph(5, "centered"))
     assert res.connected and res.exact and res.value == 8
     a, b = res.witness
-    assert bfs_distance(cached_graph(5, "centered"), a, b) == 8
+    assert bfs_distances(cached_graph(5, "centered"), a)[b] == 8
 
 
 def test_diameter_disconnected():
@@ -319,7 +317,8 @@ def test_diameter_matches_all_pairs_bfs(n, mode):
     if value is not None:
         b = diameter(g, exact_limit=1, samples=4)
         assert b.lower <= value <= b.upper
-        assert bfs_distance(g, *b.witness) == b.lower
+        a, z = b.witness
+        assert bfs_distances(g, a)[z] == b.lower
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -471,9 +470,8 @@ def test_csv_round_trips_edges():
 
 def test_json_obj_fields():
     g = cached_graph(3, "centered")
-    obj = graph_json_obj(g, include_words=True)
+    obj = graph_json_obj(g)
     assert obj["n"] == 3 and obj["mode"] == "centered"
     assert obj["vertex_count"] == 5
     assert len(obj["edges"]) == obj["edge_count"] == g.edge_count
     assert obj["words"] == [g.word(r) for r in range(5)]
-    assert "words" not in graph_json_obj(g)

@@ -1,4 +1,7 @@
-"""Command line front end.
+"""Command line front end: parse, dispatch and format.
+
+Every prediction and every check that re-derives one lives in `counts`;
+`counts` prints `predicted_extremes` and `verify` prints `verify_counts`.
 
 Same flags, same bytes: every command is deterministic.  Exit codes:
 0 success, 1 usage error, 2 verification mismatch, 3 search budget
@@ -14,14 +17,9 @@ import sys
 from fractions import Fraction
 from itertools import chain, islice
 
-from .chords import perimeter_matching, visible_edges
-from .construct import canonical_flip_sequence, perimeter_swap_path
-from .counts import (CountReport, CountRow, catalan, class_partition_size,
-                     component_size_fraction, perimeter_class_size,
-                     predicted_extremes, verify_counts, weight_class_size)
+from .counts import predicted_extremes, verify_counts
 from .dyck import dyck_words, enumerate_matchings, to_dyck
 from .errors import ResourceLimitError, VerificationError
-from .flips import replay
 from .graphs import (MODES, build_flip_graph, component_report, csv_lines,
                      diameter, dot_lines)
 from .rainbow import find_rainbow_cycle
@@ -90,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("diameter", parents=[common],
                    help="graph diameter, or an infinite marker")
     sub.add_parser("counts", parents=[common],
-                   help="closed-form predictions without enumeration")
+                   help="the prediction table, without enumeration")
     rb = sub.add_parser("rainbow", parents=[common],
                         help="search for an r-rainbow cycle")
     rb.add_argument("--r", type=int, default=1,
@@ -294,19 +292,7 @@ def cmd_diameter(args) -> int:
 
 def cmd_counts(args) -> int:
     fmt = _pick_fmt(args, "json", ("json", "table", "csv"))
-    n = args.n
-    obj = dict(predicted_extremes(n))
-    obj["catalan"] = catalan(n)
-    if n % 2 == 0:
-        obj["weight_classes"] = {str(c): weight_class_size(n, c)
-                                 for c in range(-(n - 2), n - 1)}
-        obj["class_partition"] = {str(c): class_partition_size(n, c)
-                                  for c in range(n - 1)}
-        obj["perimeter_classes"] = {str(k): perimeter_class_size(n, k)
-                                    for k in range(2, n + 1)}
-        frac, approx = component_size_fraction(n)
-        obj["max_component_fraction"] = frac
-        obj["max_component_fraction_float"] = approx
+    obj = predicted_extremes(args.n)
     if fmt == "json":
         _write(args.out, [_dump(obj)])
         return EXIT_OK
@@ -352,106 +338,9 @@ def cmd_rainbow(args) -> int:
     return EXIT_BUDGET if res.status == "budget" else EXIT_OK
 
 
-def _route_ok(start, seq, ends) -> bool:
-    """True iff every flip of seq is centered and seq replays from start
-    to a matching in ends."""
-    try:
-        return all(fl.centered for fl in seq) and replay(start, seq) in ends
-    except ValueError:
-        return False
-
-
-def _structure_rows(args) -> list[CountRow]:
-    """Graph-level facts re-checked against their closed forms."""
-    n = args.n
-    rows: list[CountRow] = []
-    pred = predicted_extremes(n)
-    h = build_flip_graph(n, "centered", threads=args.threads,
-                         mem_budget=args.mem_budget)
-    ds = h.degree_summary()
-    rows.append(CountRow("H max degree", pred["max_degree"], ds["max"]))
-    rows.append(CountRow("H min degree", pred["min_degree"], ds["min"]))
-    if pred.get("max_degree_count") is not None:
-        rows.append(CountRow("H max degree count",
-                             pred["max_degree_count"], ds["max_count"]))
-    rows.append(CountRow("H min degree count",
-                         pred["min_degree_count"], ds["min_count"]))
-
-    if n % 2:
-        rows.append(CountRow("H connected", 1, int(h.is_connected())))
-        # construct does not check its routes; these replays are the proof
-        ends = (perimeter_matching(n), perimeter_matching(n, True))
-        if n <= 9:
-            good = ok = 0
-            for r, m in enumerate(enumerate_matchings(n)):
-                good += h.degree(r) == len(visible_edges(m))
-                try:
-                    seq = canonical_flip_sequence(m)
-                except (ValueError, VerificationError):
-                    continue
-                ok += len(seq) <= 4 * n - 11 and _route_ok(m, seq, ends)
-            rows.append(CountRow("H degree equals visible edges",
-                                 h.vertex_count, good))
-        path = perimeter_swap_path(n)
-        rows.append(CountRow("perimeter swap path length", 3 * n - 7,
-                             len(path) if _route_ok(ends[0], path, ends[1:])
-                             else -1))
-        if n <= 9:
-            rows.append(CountRow("canonical sequences valid",
-                                 h.vertex_count, ok))
-        # computed by exhaustive BFS for odd n = 3..11; a conjecture beyond,
-        # since the paper proves only that the diameter is linear
-        if n <= 7:
-            rows.append(CountRow("H diameter", 3 * n - 7, diameter(h).value))
-    else:
-        report = component_report(h)
-        trees = [c for c in report if c["is_tree"]]
-        rows.append(CountRow("H component count",
-                             pred["component_count"], len(report)))
-        rows.append(CountRow("H tree components",
-                             pred["tree_component_count"], len(trees)))
-        rows.append(CountRow("tree components of expected size",
-                             pred["tree_component_count"],
-                             sum(1 for c in trees
-                                 if c["size"] == n // 2 + 1)))
-        rows.append(CountRow("symmetric matchings in tree components",
-                             pred["symmetric_count"],
-                             sum(c["symmetric_count"] for c in trees)))
-        rows.append(CountRow("symmetric matchings outside trees", 0,
-                             sum(c["symmetric_count"] for c in report
-                                 if not c["is_tree"])))
-        rows.append(CountRow("largest component within bound", 1,
-                             int(report[0]["size"]
-                                 <= pred["max_component_bound"])))
-        single = 0
-        for c in report:
-            ws = sorted(int(k) for k in c["weights"])
-            if len(ws) == 1 or (len(ws) == 2 and ws[1] - ws[0] == n - 2):
-                single += 1
-        rows.append(CountRow("component weights in one class",
-                             len(report), single))
-
-    if n <= 8:
-        g = build_flip_graph(n, "all", threads=args.threads,
-                             mem_budget=args.mem_budget)
-        rows.append(CountRow("G bipartite", 1, int(g.is_bipartite())))
-        rows.append(CountRow("G diameter", n - 1, diameter(g).value))
-        match = 0
-        for r in range(g.vertex_count):
-            cen = [t for t, fl in zip(g.neighbors(r), g.neighbor_flags(r))
-                   if fl]
-            if cen == list(h.neighbors(r)):
-                match += 1
-        rows.append(CountRow("centered arcs of G form H",
-                             g.vertex_count, match))
-    return rows
-
-
 def cmd_verify(args) -> int:
     fmt = _pick_fmt(args, "json", ("json", "table"))
-    rows = list(verify_counts(args.n).rows)
-    rows.extend(_structure_rows(args))
-    report = CountReport(args.n, tuple(rows))
+    report = verify_counts(args.n, args.threads, args.mem_budget)
     if fmt == "table":
         _write(args.out, _lines(report.table_lines()))
     else:

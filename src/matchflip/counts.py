@@ -1,8 +1,13 @@
-"""Closed-form counts and the formula-vs-enumeration verifier.
+"""The prediction table and the verifier that re-derives it.
 
-All predictions are exact big integers; a mismatch against enumeration
-anywhere is a bug in the engine, so the report is the main regression
-oracle.  The only float is the asymptotic display value.
+`predicted_extremes` is the one table of predictions for size n: closed
+forms, plus the values in `MEASURED`, which have no closed form or no
+proof and say where they came from.  `verify_counts` re-derives them by
+enumeration: a census of every matching, then the degrees, components,
+routes and diameters of the flip graphs.  All predictions are exact big
+integers; a mismatch anywhere is a bug in the engine, so the report is
+the main regression oracle.  The only float is the asymptotic display
+value.
 """
 
 from __future__ import annotations
@@ -11,10 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, pi, sqrt
 
-from .chords import max_length
+from .chords import max_length, perimeter_matching, visible_edges
+from .construct import canonical_flip_sequence, perimeter_swap_path
 from .dyck import (_band_weight, _peaks, _symmetric, _weight, _wraps,
-                   catalan, dyck_words)
+                   catalan, dyck_words, enumerate_matchings)
 from .errors import VerificationError
+from .flips import replay
+from .graphs import build_flip_graph, component_report, diameter
 
 
 def narayana(r: int, n: int, k: int) -> int:
@@ -80,21 +88,45 @@ def symmetric_count(n: int) -> int:
     return n * catalan((n - 1) // 2)
 
 
-# max-degree vertex counts of the centered flip graph for even n; no
-# closed form is known for this sequence.  `verify --n N` re-derives the
-# values for n <= 12.  n = 14 comes from a degree-only pass, the lengths
-# of flip_cells(14, zip(dyck_words(14), count()), True): 28,538 of the
-# 2,674,440 vertices have degree 7, and the 243,936 of degree 1 equal
-# 14 * C_6 ** 2, the min-degree closed form below.
-_EVEN_MAX_DEGREE_COUNTS = {2: 2, 4: 10, 6: 54, 8: 274, 10: 1326,
-                           12: 6218, 14: 28538}
+# Values with no closed form, or with none the paper proves, by the
+# name of the `verify` row that compares them, then by n.
+MEASURED = {
+    # max-degree vertex count of H_n, even n; no closed form is known
+    "H max degree count": {
+        # re-derived by `verify --n N`
+        2: 2, 4: 10, 6: 54, 8: 274, 10: 1326, 12: 6218,
+        # degree-only passes, the lengths of flip_cells(n,
+        # zip(dyck_words(n), count()), True): 28,538 of 2,674,440
+        # vertices in 25 s, and 128,994 of 35,357,670 in 332 s at about
+        # 20 MiB; at both n the degree-1 count equals the min-degree
+        # closed form
+        14: 28538, 16: 128994,
+    },
+    # diam H_n, odd n: 3n - 7 at every n measured, a conjecture beyond,
+    # since the paper proves only that it is linear.  `verify` re-derives
+    # n <= 7; n = 9 and 11 come from diameter(build_flip_graph(n,
+    # "centered", threads=2), exact_limit=10**7): witness (2806, 4861)
+    # in 0.3 s and (35072, 58785) in 21 s, build included
+    "H diameter": {n: 3 * n - 7 for n in range(3, 12, 2)},
+    # diam G_n: n - 1 at every n measured.  `verify` re-derives n <= 8;
+    # n = 9 and 10 come from the same call in "all" mode: witness (0, 8)
+    # in 0.4 s and (0, 9) in 2.8 s.  Hernando, Hurtado & Noy (2002) is a
+    # reading pointer only; its statement was not checked.
+    "G diameter": {n: n - 1 for n in range(2, 11)},
+}
+
+# the largest n at which `verify` replays every route and compares each
+# degree with the visible edges, builds G_n, and measures diam H_n
+_ROUTE_LIMIT, _G_LIMIT, _H_DIAMETER_LIMIT = 9, 8, 7
 
 
 def predicted_extremes(n: int) -> dict:
-    """All closed-form degree/component predictions for size n."""
+    """Every prediction for size n: the closed forms, and the max-degree
+    count from `MEASURED`, None where it holds none."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    rec: dict = {"n": n, "max_edge_length": max_length(n),
+    rec: dict = {"n": n, "catalan": catalan(n),
+                 "max_edge_length": max_length(n),
                  "symmetric_count": symmetric_count(n)}
     if n % 2:
         rec.update(
@@ -104,15 +136,24 @@ def predicted_extremes(n: int) -> dict:
             min_degree_count=n * catalan((n - 3) // 2) ** 2,
         )
     else:
+        frac, approx = component_size_fraction(n)
         rec.update(
             max_degree=n // 2,
-            max_degree_count=_EVEN_MAX_DEGREE_COUNTS.get(n),
+            max_degree_count=MEASURED["H max degree count"].get(n),
             min_degree=1,
             min_degree_count=n * catalan((n - 2) // 2) ** 2,
             tree_component_count=catalan(n // 2),
             tree_component_size=n // 2 + 1,
             component_count=catalan(n // 2) + n - 3 if n >= 4 else 1,
             max_component_bound=narayana(1, n, n // 2),
+            weight_classes={str(c): weight_class_size(n, c)
+                            for c in range(-(n - 2), n - 1)},
+            class_partition={str(c): class_partition_size(n, c)
+                             for c in range(n - 1)},
+            perimeter_classes={str(k): perimeter_class_size(n, k)
+                               for k in range(2, n + 1)},
+            max_component_fraction=frac,
+            max_component_fraction_float=approx,
         )
     return rec
 
@@ -149,9 +190,6 @@ class CountReport:
     def ok(self) -> bool:
         return all(row.ok for row in self.rows)
 
-    def mismatches(self) -> list[CountRow]:
-        return [row for row in self.rows if not row.ok]
-
     def as_json_obj(self) -> dict:
         return {"n": self.n, "ok": self.ok,
                 "rows": [{"name": r.name, "predicted": r.predicted,
@@ -167,11 +205,15 @@ class CountReport:
         return out
 
 
-def verify_counts(n: int) -> CountReport:
-    """Compare every closed form against one full enumeration pass."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    total = 0
+def verify_counts(n: int, threads: int = 1,
+                  mem_budget: int | None = None) -> CountReport:
+    """Compare every prediction for size n with what enumeration finds.
+
+    The rows are the census of one pass over all matchings, then the
+    facts of the flip graphs, which are built with `build_flip_graph`'s
+    threads and mem_budget.
+    """
+    pred = predicted_extremes(n)
     n_symmetric = 0
     bw_hist = [0] * (n + 1)
     peak_hist = [0] * (n + 1)
@@ -179,7 +221,6 @@ def verify_counts(n: int) -> CountReport:
     perim_hist = [0] * (n + 1)
     even = n % 2 == 0
     for w in dyck_words(n):
-        total += 1
         n_symmetric += _symmetric(n, w)
         pk = _peaks(w)
         if even:
@@ -190,8 +231,9 @@ def verify_counts(n: int) -> CountReport:
         bw_hist[_band_weight(w)] += 1
         peak_hist[pk] += 1
 
-    rows = [CountRow("matchings", catalan(n), total),
-            CountRow("symmetric", symmetric_count(n), n_symmetric)]
+    total = sum(peak_hist)
+    rows = [CountRow("matchings", pred["catalan"], total),
+            CountRow("symmetric", pred["symmetric_count"], n_symmetric)]
     for k in range(1, n + 1):
         rows.append(CountRow(f"band_weight[{k}]", narayana(0, n, k),
                              bw_hist[k]))
@@ -199,22 +241,115 @@ def verify_counts(n: int) -> CountReport:
         rows.append(CountRow(f"band_weight_vs_peaks[{k}]",
                              peak_hist[n - k + 1], bw_hist[k]))
     if even:
+        wc, pc = pred["weight_classes"], pred["perimeter_classes"]
         rows.append(CountRow("weight[0]", 2, weight_hist.get(0, 0)))
         for c in range(1, n - 1):
-            rows.append(CountRow(f"weight[+{c}]", weight_class_size(n, c),
+            rows.append(CountRow(f"weight[+{c}]", wc[str(c)],
                                  weight_hist.get(c, 0)))
-            rows.append(CountRow(f"weight[-{c}]", weight_class_size(n, -c),
+            rows.append(CountRow(f"weight[-{c}]", wc[str(-c)],
                                  weight_hist.get(-c, 0)))
         for k in range(2, n + 1):
-            rows.append(CountRow(f"perimeter[{k}]", perimeter_class_size(n, k),
-                                 perim_hist[k]))
+            rows.append(CountRow(f"perimeter[{k}]", pc[str(k)], perim_hist[k]))
         for c in range(0, n - 1):
             paired = (weight_hist.get(0, 0) if c == 0 else
                       weight_hist.get(c, 0) + weight_hist.get(-c, 0))
             rows.append(CountRow(f"weights_vs_perimeter[{c}]",
                                  perim_hist[n - c], paired))
         rows.append(CountRow("class_partition_total",
-                             sum(class_partition_size(n, c)
-                                 for c in range(n - 1)),
-                             total))
+                             sum(pred["class_partition"].values()), total))
+    rows.extend(_structure_rows(n, pred, threads, mem_budget))
     return CountReport(n, tuple(rows))
+
+
+def _route_ok(start, seq, ends) -> bool:
+    """True iff every flip of seq is centered and seq replays from start
+    to a matching in ends."""
+    try:
+        return all(fl.centered for fl in seq) and replay(start, seq) in ends
+    except ValueError:
+        return False
+
+
+def _structure_rows(n: int, pred: dict, threads: int,
+                    mem_budget: int | None) -> list[CountRow]:
+    """Graph-level facts re-checked against their predictions pred."""
+    rows: list[CountRow] = []
+    h = build_flip_graph(n, "centered", threads=threads,
+                         mem_budget=mem_budget)
+    ds = h.degree_summary()
+    rows.append(CountRow("H max degree", pred["max_degree"], ds["max"]))
+    rows.append(CountRow("H min degree", pred["min_degree"], ds["min"]))
+    if pred["max_degree_count"] is not None:
+        rows.append(CountRow("H max degree count",
+                             pred["max_degree_count"], ds["max_count"]))
+    rows.append(CountRow("H min degree count",
+                         pred["min_degree_count"], ds["min_count"]))
+
+    if n % 2:
+        rows.append(CountRow("H connected", 1, int(h.is_connected())))
+        # construct does not check its routes; these replays are the proof
+        ends = (perimeter_matching(n), perimeter_matching(n, True))
+        if n <= _ROUTE_LIMIT:
+            good = ok = 0
+            for r, m in enumerate(enumerate_matchings(n)):
+                good += h.degree(r) == len(visible_edges(m))
+                try:
+                    seq = canonical_flip_sequence(m)
+                except (ValueError, VerificationError):
+                    continue
+                ok += len(seq) <= 4 * n - 11 and _route_ok(m, seq, ends)
+            rows.append(CountRow("H degree equals visible edges",
+                                 h.vertex_count, good))
+        path = perimeter_swap_path(n)
+        rows.append(CountRow("perimeter swap path length", 3 * n - 7,
+                             len(path) if _route_ok(ends[0], path, ends[1:])
+                             else -1))
+        if n <= _ROUTE_LIMIT:
+            rows.append(CountRow("canonical sequences valid",
+                                 h.vertex_count, ok))
+        if n <= _H_DIAMETER_LIMIT:
+            rows.append(CountRow("H diameter", MEASURED["H diameter"][n],
+                                 diameter(h).value))
+    else:
+        report = component_report(h)
+        trees = [c for c in report if c["is_tree"]]
+        rows.append(CountRow("H component count",
+                             pred["component_count"], len(report)))
+        rows.append(CountRow("H tree components",
+                             pred["tree_component_count"], len(trees)))
+        size = pred["tree_component_size"]
+        rows.append(CountRow("tree components of expected size",
+                             pred["tree_component_count"],
+                             sum(1 for c in trees if c["size"] == size)))
+        rows.append(CountRow("symmetric matchings in tree components",
+                             pred["symmetric_count"],
+                             sum(c["symmetric_count"] for c in trees)))
+        rows.append(CountRow("symmetric matchings outside trees", 0,
+                             sum(c["symmetric_count"] for c in report
+                                 if not c["is_tree"])))
+        rows.append(CountRow("largest component within bound", 1,
+                             int(report[0]["size"]
+                                 <= pred["max_component_bound"])))
+        single = 0
+        for c in report:
+            ws = sorted(int(k) for k in c["weights"])
+            if len(ws) == 1 or (len(ws) == 2 and ws[1] - ws[0] == n - 2):
+                single += 1
+        rows.append(CountRow("component weights in one class",
+                             len(report), single))
+
+    if n <= _G_LIMIT:
+        g = build_flip_graph(n, "all", threads=threads,
+                             mem_budget=mem_budget)
+        rows.append(CountRow("G bipartite", 1, int(g.is_bipartite())))
+        rows.append(CountRow("G diameter", MEASURED["G diameter"][n],
+                             diameter(g).value))
+        match = 0
+        for r in range(g.vertex_count):
+            cen = [t for t, fl in zip(g.neighbors(r), g.neighbor_flags(r))
+                   if fl]
+            if cen == list(h.neighbors(r)):
+                match += 1
+        rows.append(CountRow("centered arcs of G form H",
+                             g.vertex_count, match))
+    return rows

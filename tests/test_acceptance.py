@@ -15,8 +15,8 @@ from matchflip.chords import (Matching, chord_length, chord_sign,
                               perimeter_edge_count, perimeter_matching,
                               segment, visible_edges, weight)
 from matchflip.construct import canonical_flip_sequence, perimeter_swap_path
-from matchflip.counts import (catalan, narayana, predicted_extremes,
-                              symmetric_count)
+from matchflip.counts import (MEASURED, catalan, narayana,
+                              predicted_extremes, symmetric_count)
 from matchflip.dyck import (band_weight, bits_to_symmetric, dyck_words,
                             enumerate_matchings, from_dyck, peaks, rank,
                             segment_to_dyck, symmetric_to_bits, to_dyck,
@@ -72,20 +72,21 @@ def test_criterion_03_degrees_even():
 
 def test_criterion_04_connectivity_and_diameters():
     with criterion(4, "connectivity and diameters of both graphs"):
-        for n, want in ((3, 2), (5, 8), (7, 14)):
+        diam_h, diam_g = MEASURED["H diameter"], MEASURED["G diameter"]
+        for n in (3, 5, 7):
             h = cached_graph(n, "centered")
             assert h.is_connected()
             res = diameter(h)
-            assert res.exact and res.value == want
+            assert res.exact and res.value == diam_h[n]
         t0 = time.perf_counter()
         h9 = cached_graph(9, "centered")
         assert h9.is_connected()
         res9 = diameter(h9)
-        assert res9.exact and res9.value == 20
+        assert res9.exact and res9.value == diam_h[9]
         assert time.perf_counter() - t0 < 1800.0
         for n in range(3, 10):
             res = diameter(cached_graph(n, "all"))
-            assert res.exact and res.value == n - 1
+            assert res.exact and res.value == diam_g[n]
         for n in range(2, 9):
             assert cached_graph(n, "all").is_bipartite()
 

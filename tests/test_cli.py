@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from matchflip import cli
+from matchflip import cli, counts
 from matchflip.cli import main
+from matchflip.counts import MEASURED, verify_counts
 from matchflip.dyck import enumerate_matchings, to_dyck
 from matchflip.graphs import MODES, diameter, graph_json_obj
 
@@ -79,7 +80,7 @@ def test_unavailable_format_is_a_usage_error(capsys):
 def test_diameter_table_and_json(capsys):
     code, out, _ = run(capsys, "diameter", "--n", "5", "--mode", "centered",
                        "--format", "table")
-    assert code == 0 and out == "8\n"
+    assert code == 0 and out == f"{MEASURED['H diameter'][5]}\n"
     code, out, _ = run(capsys, "diameter", "--n", "4", "--mode", "centered")
     obj = json.loads(out)
     assert code == 0
@@ -88,8 +89,9 @@ def test_diameter_table_and_json(capsys):
     assert obj["display"] == "inf"
     code, out, _ = run(capsys, "diameter", "--n", "4")
     obj = json.loads(out)
-    assert obj["connected"] is True and obj["diameter"] == 3
-    assert obj["display"] == "3" and obj["exact"] is True
+    want = MEASURED["G diameter"][4]
+    assert obj["connected"] is True and obj["diameter"] == want
+    assert obj["display"] == str(want) and obj["exact"] is True
 
 
 def test_stats_reports_component_structure(capsys):
@@ -177,10 +179,11 @@ def test_rainbow_budget_exit_code(capsys):
 
 
 def test_memory_budget_exit_code(capsys):
-    code, out, err = run(capsys, "graph", "--n", "8",
-                         "--mem-budget", "1024")
-    assert code == 4
-    assert "resource limit" in err
+    for command in ("graph", "verify"):
+        code, out, err = run(capsys, command, "--n", "8",
+                             "--mem-budget", "1024")
+        assert code == 4
+        assert "resource limit" in err
 
 
 @pytest.mark.parametrize("n", ["2", "5", "6"])
@@ -195,8 +198,8 @@ def test_verify_passes(capsys, n):
 def test_short_canonical_sequence_fails_verify(capsys, monkeypatch):
     # a sequence that stops one flip early is short enough but does not
     # reach an all-perimeter matching
-    real = cli.canonical_flip_sequence
-    monkeypatch.setattr(cli, "canonical_flip_sequence",
+    real = counts.canonical_flip_sequence
+    monkeypatch.setattr(counts, "canonical_flip_sequence",
                         lambda m: real(m)[:-1])
     code, out, _ = run(capsys, "verify", "--n", "5")
     assert code == 2
@@ -208,8 +211,8 @@ def test_short_canonical_sequence_fails_verify(capsys, monkeypatch):
 def test_reversed_swap_path_fails_verify(capsys, monkeypatch):
     # same length and only centered flips, but it starts at the other
     # all-perimeter matching, so only a replay can tell
-    real = cli.perimeter_swap_path
-    monkeypatch.setattr(cli, "perimeter_swap_path",
+    real = counts.perimeter_swap_path
+    monkeypatch.setattr(counts, "perimeter_swap_path",
                         lambda n: [fl.reversed() for fl in reversed(real(n))])
     code, out, _ = run(capsys, "verify", "--n", "5")
     assert code == 2
@@ -226,6 +229,33 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cli_imports_no_theorem_modules():
+    # the CLI parses, dispatches and formats; the predictions and the
+    # checks that re-derive them live in counts
+    imported = set()
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "matchflip." + module if module else "matchflip"
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    forbidden = {f"matchflip.{name}" for name in ("chords", "construct",
+                                                   "flips")}
+    assert imported & forbidden == set()
+    assert "matchflip.counts" in imported
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_verify_prints_verify_counts(capsys, n):
+    code, out, _ = run(capsys, "verify", "--n", str(n))
+    assert code == 0
+    assert out == cli._dump(verify_counts(n).as_json_obj())
 
 
 def test_export_list_resolves_without_repeats():
@@ -351,6 +381,10 @@ def test_threads_do_not_change_output(capsys, monkeypatch):
     monkeypatch.setenv("MATCHFLIP_THREADS", "junk")
     _, fallback, _ = run(capsys, "graph", "--n", "5")
     assert base == fallback
+    # verify passes --threads to its graph builds
+    _, base, _ = run(capsys, "verify", "--n", "9", "--threads", "1")
+    _, threaded, _ = run(capsys, "verify", "--n", "9", "--threads", "2")
+    assert base == threaded
 
 
 def test_console_script_entry_point():

@@ -8,7 +8,7 @@ from array import array
 import pytest
 
 from matchflip.chords import rotate
-from matchflip.counts import catalan
+from matchflip.counts import MEASURED, catalan
 from matchflip.dyck import enumerate_matchings, rank, to_dyck, unrank
 from matchflip.errors import ResourceLimitError
 from matchflip.flips import is_centered, neighbors
@@ -269,12 +269,13 @@ def test_bfs_distance_unreachable_is_none():
 
 
 def test_diameter_exact_small():
-    assert diameter(cached_graph(4, "all")).value == 3
-    assert diameter(cached_graph(5, "all")).value == 4
+    diam_g, diam_h = MEASURED["G diameter"], MEASURED["H diameter"]
+    assert diameter(cached_graph(4, "all")).value == diam_g[4]
+    assert diameter(cached_graph(5, "all")).value == diam_g[5]
     res = diameter(cached_graph(5, "centered"))
-    assert res.connected and res.exact and res.value == 8
+    assert res.connected and res.exact and res.value == diam_h[5]
     a, b = res.witness
-    assert bfs_distances(cached_graph(5, "centered"), a)[b] == 8
+    assert bfs_distances(cached_graph(5, "centered"), a)[b] == diam_h[5]
 
 
 def test_diameter_disconnected():

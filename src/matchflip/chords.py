@@ -51,27 +51,10 @@ def max_length(n: int) -> int:
     return (n - 1) // 2 if n % 2 else (n - 2) // 2
 
 
-def is_diameter(n: int, e: Chord) -> bool:
-    """True iff e passes through the circle center (span n; needs odd n)."""
-    return e[1] - e[0] == n
-
-
-def hides(n: int, e: Chord, p: int) -> bool:
-    """True iff point p lies strictly inside the minority arc of e.
-
-    Equivalently: the ray from the circle center to p crosses e.  A diameter
-    chord hides nothing. p must not be an endpoint of e.
-    """
-    a, b = e
-    if p == a or p == b:
-        raise ValueError(f"point {p} is an endpoint of {e}")
-    if not 1 <= p <= 2 * n:
-        raise ValueError(f"point {p} out of range 1..{2 * n}")
-    return _hides_fast(n, a, b, p)
-
-
 def _hides_fast(n: int, a: int, b: int, p: int) -> bool:
-    # hides() without validation, for inner loops; (a, b) sorted, p not endpoint
+    # p strictly inside the minority arc of the chord (a, b), a < b, that
+    # is, the ray from the center to p crosses it; p is not an endpoint,
+    # and a diameter hides nothing
     d = b - a
     if d < n:
         return a < p < b
@@ -133,15 +116,6 @@ class Matching:
         self.pairs = tuple((x, pt[x]) for x in range(1, 2 * n + 1) if pt[x] > x)
         self._hash = hash((n, self.pairs))
         return self
-
-    @classmethod
-    def from_text(cls, n: int, text: str) -> "Matching":
-        """Parse the "1-2,3-8,..." pair-list form."""
-        pairs = []
-        for part in text.split(","):
-            a, _, b = part.strip().partition("-")
-            pairs.append((int(a), int(b)))
-        return cls(n, pairs)
 
     def to_text(self) -> str:
         return ",".join(f"{a}-{b}" for a, b in self.pairs)
@@ -275,50 +249,6 @@ def weight(m: Matching) -> int:
         raise ValueError("weights are defined for even n only")
     from .dyck import _weight, to_dyck    # dyck imports this module
     return _weight(m.n, to_dyck(m))
-
-
-def ray_weight(m: Matching, k: int) -> int:
-    """Signed crossing count of the ray from the center to odd point k.
-
-    Counts +1/-1 per edge the ray crosses, by edge sign; the edge matching
-    k itself never counts.  Always in {-1, 0, +1}; even n only.
-    """
-    n = m.n
-    if n % 2:
-        raise ValueError("ray weights are defined for even n only")
-    if k % 2 == 0:
-        raise ValueError("ray weights are indexed by odd points")
-    if not 1 <= k <= 2 * n:
-        raise ValueError(f"point {k} out of range")
-    total = 0
-    for a, b in m.pairs:
-        if k == a or k == b:
-            continue
-        if _hides_fast(n, a, b, k):
-            total += chord_sign(n, (a, b))
-    return total
-
-
-def antipodal(n: int, e: Chord) -> Chord:
-    """Point reflection of a chord through the circle center (shift by n)."""
-    a, b = e
-    a2 = (a + n - 1) % (2 * n) + 1
-    b2 = (b + n - 1) % (2 * n) + 1
-    return (a2, b2) if a2 < b2 else (b2, a2)
-
-
-def rotate(m: Matching, steps: int = 1) -> Matching:
-    """Rotate all labels clockwise by `steps` points."""
-    n = m.n
-    pairs = [((a + steps - 1) % (2 * n) + 1, (b + steps - 1) % (2 * n) + 1)
-             for a, b in m.pairs]
-    return Matching(n, pairs)
-
-
-def mirror(m: Matching) -> Matching:
-    """Reflect through the axis between points 2n and 1 (label x -> 2n+1-x)."""
-    n = m.n
-    return Matching(n, [(2 * n + 1 - b, 2 * n + 1 - a) for a, b in m.pairs])
 
 
 def is_centrally_symmetric(m: Matching) -> bool:

@@ -316,7 +316,8 @@ def cmd_counts(args) -> int:
 def cmd_rainbow(args) -> int:
     fmt = _pick_fmt(args, "json", ("json", "table"))
     res = find_rainbow_cycle(args.n, args.r, budget=args.search_budget,
-                             force_search=args.force_search)
+                             force_search=args.force_search,
+                             threads=args.threads, mem_budget=args.mem_budget)
     obj = {"n": res.n, "r": res.r, "status": res.status,
            "reason": res.reason, "certificate": res.certificate,
            "length": res.length, "expanded": res.expanded,

@@ -37,9 +37,6 @@ class Flip:
     in2: Chord
     centered: bool
 
-    def reversed(self) -> "Flip":
-        return Flip(self.in1, self.in2, self.out1, self.out2, self.centered)
-
 
 def _in_chords(e: Chord, f: Chord) -> tuple[Chord, Chord]:
     """The opposite pair of quadrilateral sides, for non-interleaved e, f."""

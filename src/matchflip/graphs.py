@@ -17,8 +17,7 @@ from itertools import accumulate, chain, compress, islice, repeat, tee
 from operator import itemgetter, lt, sub
 from typing import Iterator
 
-from .dyck import (_symmetric, _unrank_word, _weight, catalan, dyck_words,
-                   orbit_minima, unrank)
+from .dyck import _symmetric, _weight, catalan, dyck_words, orbit_minima
 from .errors import ResourceLimitError
 from .flips import flip_cells
 
@@ -103,12 +102,6 @@ class FlipGraph:
             map(repeat, range(self.vertex_count), degrees)))
         return compress(zip(src, tg, map(bool, self.flags)),
                         map(lt, src2, tg))
-
-    def matching(self, r: int):
-        return unrank(self.n, r)
-
-    def word(self, r: int) -> str:
-        return _unrank_word(self.n, r)
 
     def degree_summary(self) -> dict:
         degs = self.degrees()
@@ -247,8 +240,9 @@ def bfs_distances(g: FlipGraph, src: int) -> list[int]:
     return dist
 
 
-def _farthest(g: FlipGraph, sources) -> dict[int, tuple[int, int]]:
-    """{source: (eccentricity, smallest rank at that distance)}.
+def _farthest(g: FlipGraph, sources) -> tuple[dict, int]:
+    """({source: (eccentricity, smallest rank at that distance)}, the
+    number of vertices the first source reaches).
 
     A multi-source BFS (Then et al., PVLDB 8(4), 2014): each source is one
     bit of a 64-bit word per vertex, so one pass over the CSR serves up to
@@ -257,14 +251,15 @@ def _farthest(g: FlipGraph, sources) -> dict[int, tuple[int, int]]:
     bits already in seen[x] are dropped.  A source's eccentricity is the
     last layer in which its bit is new, and its far end is the first
     vertex, in ascending rank, where the bit is new in that layer.  Both
-    stay within the source's component.  Memory is three array("Q"), 24
-    bytes per vertex.
+    stay within the source's component; so does the first source's bit,
+    which seen holds after the first batch on every vertex it reaches.
+    Memory is three array("Q"), 24 bytes per vertex.
     """
     off, tg = g.offsets, g.targets
     ranks = range(g.vertex_count)
     front = array("Q", [0]) * len(ranks)
     nxt = array("Q", [0]) * len(ranks)
-    out = {}
+    out, reach = {}, 0
     todo = list(dict.fromkeys(sources))
     for at in range(0, len(todo), 64):
         batch = todo[at:at + 64]
@@ -296,7 +291,9 @@ def _farthest(g: FlipGraph, sources) -> dict[int, tuple[int, int]]:
             front, nxt = nxt, front
             d += 1
         out.update(zip(batch, zip(ecc, far)))
-    return out
+        if not at:
+            reach = sum(map((1).__and__, seen))
+    return out, reach
 
 
 @dataclass(frozen=True)
@@ -322,40 +319,42 @@ def diameter(g: FlipGraph, exact_limit: int = 6000, samples: int = 32,
     from it.  Larger graphs get deterministic bounds from double sweeps:
     one pass from the sorted sampled starts, one from their far ends not
     already swept; lower is the largest eccentricity of a far end, upper
-    twice the smallest eccentricity of a start.  Either mode holds 24
-    bytes per vertex while it sweeps.  A disconnected graph has infinite
-    diameter (value None).  g must be a whole flip graph (C_n vertices).
+    twice the smallest eccentricity of a start.  Both source lists are
+    sorted and begin with rank 0, so the first pass of 64 sources also
+    tells whether rank 0 reaches every vertex; if it does not, the graph
+    is disconnected, its diameter infinite (value None), and the sweep
+    stops there.  Either mode holds 24 bytes per vertex while it sweeps.
+    g must be a whole flip graph (C_n vertices).
     """
     v = g.vertex_count
     if v != catalan(g.n):
         raise ValueError(f"{v} vertices is not a flip graph of n={g.n}")
-    if not g.is_connected():
-        return DiameterResult(False, True, None, None, None, None)
     if v == 1:
         return DiameterResult(True, True, 0, 0, 0, (0, 0))
-    if v <= exact_limit:
-        reps = list(compress(range(v), orbit_minima(g.n)))
-        farthest = _farthest(g, reps)
-        s = max(reps, key=lambda r: farthest[r][0])     # the first maximum
+    exact = v <= exact_limit
+    if exact:
+        sources = list(compress(range(v), orbit_minima(g.n)))
+    else:
+        # bounds only: double sweep from rank 0 and from sampled starts
+        rng = random.Random(seed)
+        starts = {0, v - 1}
+        starts.update(rng.randrange(v) for _ in range(samples))
+        sources = sorted(starts)
+    farthest, reach = _farthest(g, sources[:64])
+    if reach < v:
+        return DiameterResult(False, True, None, None, None, None)
+    farthest.update(_farthest(g, sources[64:])[0])
+    if exact:
+        s = max(sources, key=lambda r: farthest[r][0])  # the first maximum
         best, far = farthest[s]
         return DiameterResult(True, True, best, best, best, (s, far))
-    # bounds only: double sweep from rank 0 and from sampled starts
-    rng = random.Random(seed)
-    starts = {0, v - 1}
-    starts.update(rng.randrange(v) for _ in range(samples))
-    starts = sorted(starts)
-    farthest = _farthest(g, starts)
     farthest.update(_farthest(
-        g, [far for _, far in farthest.values() if far not in farthest]))
-    lower = 0
-    upper = None
-    witness = None
-    for s in starts:
-        ecc, far = farthest[s]
-        if upper is None or 2 * ecc < upper:
-            upper = 2 * ecc
-        # sweep once more from the far end
-        ecc2, far2 = farthest[far]
+        g, [far for _, far in farthest.values() if far not in farthest])[0])
+    upper = 2 * min(farthest[s][0] for s in sources)
+    lower, witness = 0, None
+    for s in sources:
+        far = farthest[s][1]
+        ecc2, far2 = farthest[far]      # the sweep from the far end
         if ecc2 > lower:
             lower, witness = ecc2, (far, far2)
     return DiameterResult(True, False, None, lower, upper, witness)

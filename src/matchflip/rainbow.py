@@ -178,14 +178,18 @@ class _Search:
 
 def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,
                        force_search: bool = False,
-                       graph: FlipGraph | None = None) -> RainbowResult:
+                       graph: FlipGraph | None = None, threads: int = 1,
+                       mem_budget: int | None = None) -> RainbowResult:
     """Search for an r-rainbow cycle on 2n points.
 
     A "none" result is a proof: either a closed-form certificate (see the
     reason field) or an exhausted search of every big-enough component.
     For odd n the averaging certificate answers immediately unless
     force_search asks for the explicit search.  Budget counts node
-    expansions; running out gives status "budget", never "none".
+    expansions; running out gives status "budget", never "none".  Unless
+    graph is given, the centered graph is built with threads and
+    mem_budget, as build_flip_graph takes them, and only once no
+    certificate has answered.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -207,7 +211,8 @@ def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,
                 n, r, "none", "threshold",
                 {"threshold": bound,
                  "max_component_bound": narayana(1, n, n // 2)})
-    g = graph if graph is not None else build_flip_graph(n, "centered")
+    g = graph if graph is not None else build_flip_graph(
+        n, "centered", threads, mem_budget)
     if g.n != n or g.mode != "centered":
         raise ValueError("graph must be the centered flip graph for this n")
     searcher = _Search(n, r, length, budget)

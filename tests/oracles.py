@@ -90,6 +90,20 @@ def oracle_hides(n: int, e, p) -> bool:
     return p < a or p > b
 
 
+def rotate(n: int, pairs, steps: int = 1) -> tuple:
+    """The pairs turned clockwise by `steps` points, as sorted chords in
+    sorted order (the form of Matching.pairs)."""
+    moved = (sorted(((a + steps - 1) % (2 * n) + 1,
+                     (b + steps - 1) % (2 * n) + 1)) for a, b in pairs)
+    return tuple(sorted(tuple(e) for e in moved))
+
+
+def mirror(n: int, pairs) -> tuple:
+    """The pairs reflected through the axis between points 2n and 1
+    (label x -> 2n + 1 - x), in the form of Matching.pairs."""
+    return tuple(sorted((2 * n + 1 - b, 2 * n + 1 - a) for a, b in pairs))
+
+
 def oracle_sign(n: int, e) -> int:
     """+1 when the odd endpoint opens the chord, found geometrically.
 

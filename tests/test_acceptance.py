@@ -45,7 +45,7 @@ def test_criterion_02_degrees_odd():
             h = cached_graph(n, "centered")
             degs = h.degrees()
             for r in range(h.vertex_count):
-                assert degs[r] == len(visible_edges(h.matching(r)))
+                assert degs[r] == len(visible_edges(unrank(h.n, r)))
             assert max(degs) == n
             assert degs.count(n) == 2
             assert min(degs) == 2
@@ -64,7 +64,7 @@ def test_criterion_03_degrees_even():
             assert degs.count(1) == n * catalan((n - 2) // 2) ** 2
             mu = max_length(n)
             for r in [r for r, d in enumerate(degs) if d == 1]:
-                m = h.matching(r)
+                m = unrank(h.n, r)
                 longest = sum(1 for e in m.pairs
                               if chord_length(n, e) == mu)
                 assert longest == 2
@@ -128,14 +128,14 @@ def test_criterion_06_component_structure_even():
             assert all(len(c) == n // 2 + 1 for c in trees)
             sym_in_trees = sum(
                 1 for c in trees for r in c
-                if is_centrally_symmetric(h.matching(r)))
+                if is_centrally_symmetric(unrank(h.n, r)))
             assert sym_in_trees == comb(n, n // 2)
             assert sum(len(c) for c in trees) == comb(n, n // 2)
             tree_ranks = {r for c in trees for r in c}
             for c in comps:
                 if c[0] in tree_ranks:
                     continue
-                assert not any(is_centrally_symmetric(h.matching(r))
+                assert not any(is_centrally_symmetric(unrank(h.n, r))
                                for r in c)
             assert max(len(c) for c in comps) <= narayana(1, n, n // 2)
 
@@ -144,7 +144,7 @@ def test_criterion_07_weights():
     with criterion(7, "weight range, flip alternation, class sizes"):
         for n in (2, 4, 6, 8, 10):
             h = cached_graph(n, "centered")
-            ws = [weight(h.matching(r)) for r in range(h.vertex_count)]
+            ws = [weight(unrank(h.n, r)) for r in range(h.vertex_count)]
             hist: dict[int, int] = {}
             for w in ws:
                 assert -(n - 2) <= w <= n - 2
@@ -163,7 +163,7 @@ def test_criterion_07_weights():
                 assert hist.get(-c, 0) == narayana(1, n, c + 1) // 2
             perim = [0] * (n + 1)
             for r in range(h.vertex_count):
-                perim[perimeter_edge_count(h.matching(r))] += 1
+                perim[perimeter_edge_count(unrank(h.n, r))] += 1
             for c in range(0, n - 1):
                 paired = (hist.get(0, 0) if c == 0
                           else hist.get(c, 0) + hist.get(-c, 0))
@@ -172,7 +172,7 @@ def test_criterion_07_weights():
                 assert perim[n - c] == narayana(1, n, c + 1)
         # explicit three-step walks on one mid-size instance
         h6 = cached_graph(6, "centered")
-        w6 = [weight(h6.matching(r)) for r in range(h6.vertex_count)]
+        w6 = [weight(unrank(h6.n, r)) for r in range(h6.vertex_count)]
         for a in range(h6.vertex_count):
             for b in h6.neighbors(a):
                 d1 = w6[b] - w6[a]

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from matchflip import cli, counts
+from matchflip import cli, counts, rainbow
 from matchflip.cli import main
 from matchflip.counts import MEASURED, verify_counts
 from matchflip.dyck import enumerate_matchings, to_dyck
+from matchflip.flips import make_flip
 from matchflip.graphs import MODES, diameter, graph_json_obj
 
 from conftest import cached_graph
@@ -164,7 +165,9 @@ def test_rainbow_found_json(capsys):
 
 
 def test_rainbow_certificate_table(capsys):
-    code, out, _ = run(capsys, "rainbow", "--n", "5", "--format", "table")
+    # odd n is settled by the averaging certificate before any build
+    code, out, _ = run(capsys, "rainbow", "--n", "5", "--format", "table",
+                       "--mem-budget", "1")
     assert code == 0
     assert out.splitlines()[:2] == ["status none", "reason average-length"]
 
@@ -179,11 +182,32 @@ def test_rainbow_budget_exit_code(capsys):
 
 
 def test_memory_budget_exit_code(capsys):
-    for command in ("graph", "verify"):
-        code, out, err = run(capsys, command, "--n", "8",
-                             "--mem-budget", "1024")
-        assert code == 4
+    # the rainbow search needs the centered graph, and its build obeys
+    # the budget too
+    for argv in (["graph", "--mem-budget", "1024"],
+                 ["verify", "--mem-budget", "1024"],
+                 ["rainbow", "--r", "1", "--mem-budget", "1"]):
+        code, out, err = run(capsys, *argv, "--n", "8")
+        assert (code, out) == (4, "")
         assert "resource limit" in err
+
+
+def test_rainbow_passes_threads_and_budget_to_its_build(capsys,
+                                                        monkeypatch):
+    builds = []
+    real = rainbow.build_flip_graph
+
+    def build(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rainbow, "build_flip_graph", build)
+    _, base, _ = run(capsys, "rainbow", "--n", "6", "--r", "2",
+                     "--threads", "1")
+    _, threaded, _ = run(capsys, "rainbow", "--n", "6", "--r", "2",
+                         "--threads", "2", "--mem-budget", "100000")
+    assert base == threaded
+    assert builds == [(6, "centered", 1, None), (6, "centered", 2, 100000)]
 
 
 @pytest.mark.parametrize("n", ["2", "5", "6"])
@@ -213,7 +237,8 @@ def test_reversed_swap_path_fails_verify(capsys, monkeypatch):
     # all-perimeter matching, so only a replay can tell
     real = counts.perimeter_swap_path
     monkeypatch.setattr(counts, "perimeter_swap_path",
-                        lambda n: [fl.reversed() for fl in reversed(real(n))])
+                        lambda n: [make_flip(n, fl.in1, fl.in2)
+                                   for fl in reversed(real(n))])
     code, out, _ = run(capsys, "verify", "--n", "5")
     assert code == 2
     row, = [r for r in json.loads(out)["rows"]
@@ -264,6 +289,59 @@ def test_export_list_resolves_without_repeats():
     for name in matchflip.__all__:
         getattr(matchflip, name)
     assert len(set(matchflip.__all__)) == len(matchflip.__all__)
+
+
+def _engine_names_read(path: Path) -> set:
+    """Engine names that the file at path reads: names it imports from
+    matchflip and, in a module of the package, its own top-level names,
+    each outside the statement that defines it, and every attribute
+    name.  A bare name counts only where the file imports or defines
+    it, so bench/layers.py's local list `mirror` does not count; an
+    attribute counts by its name alone, so g.neighbors(r) reads
+    FlipGraph.neighbors and flips.neighbors alike."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("matchflip")):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names
+                         if alias.name.startswith("matchflip"))
+    own = {}
+    if path.parent == Path(cli.__file__).parent:
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own[stmt] = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                own[stmt] = {t.id for t in targets if isinstance(t, ast.Name)}
+    defined = set().union(*own.values())
+    read = set()
+    for stmt in tree.body:
+        readable = (bound | defined) - own.get(stmt, set())
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Name) and node.id in readable
+                    and isinstance(node.ctx, ast.Load)):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def test_every_exported_name_is_read():
+    # the public surface is what the engine, the benchmark or the
+    # acceptance tests read; __init__.py, which lists it, does not count
+    import matchflip
+    root = Path(__file__).resolve().parents[1]
+    files = [path for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+             if path.name != "__init__.py"]
+    files += sorted((root / "bench").glob("*.py"))
+    files.append(root / "tests" / "test_acceptance.py")
+    read = set().union(*map(_engine_names_read, files))
+    assert sorted(set(matchflip.__all__) - read) == []
 
 
 # verify at n = 8 and 9 prints the symmetric, weight and perimeter rows

@@ -6,7 +6,7 @@ import pytest
 from matchflip.chords import diameter_chord, perimeter_matching
 from matchflip.construct import canonical_flip_sequence, perimeter_swap_path
 from matchflip.dyck import enumerate_matchings
-from matchflip.flips import apply_flip, is_centered, replay
+from matchflip.flips import apply_flip, is_centered, make_flip, replay
 
 
 def _replay_checked(m, seq):
@@ -33,7 +33,7 @@ def test_swap_path_length_and_endpoints(n):
 def test_swap_path_reverses():
     n = 7
     seq = perimeter_swap_path(n)
-    back = [fl.reversed() for fl in reversed(seq)]
+    back = [make_flip(n, fl.in1, fl.in2) for fl in reversed(seq)]
     assert _replay_checked(perimeter_matching(n, shifted=True),
                            back) == perimeter_matching(n)
 

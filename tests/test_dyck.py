@@ -4,8 +4,7 @@ from math import comb
 
 import pytest
 
-from matchflip.chords import (Matching, mirror, perimeter_edge_count,
-                              perimeter_matching, rotate)
+from matchflip.chords import Matching, perimeter_edge_count, perimeter_matching
 from matchflip import dyck
 from matchflip.counts import catalan
 from matchflip.errors import VerificationError
@@ -25,8 +24,11 @@ def test_orbit_ranks_are_the_dihedral_images(n):
     minima, rotation_minima = orbit_minima(n), orbit_minima(n, mirrors=False)
     for r, m in enumerate(enumerate_matchings(n)):
         w = to_dyck(m)
-        rotations = [rank(rotate(m, k)) for k in range(2 * n)]
-        mirrored = [rank(rotate(mirror(m), k)) for k in range(2 * n)]
+        mirror = oracles.mirror(n, m.pairs)
+        rotations = [rank(Matching(n, oracles.rotate(n, m.pairs, k)))
+                     for k in range(2 * n)]
+        mirrored = [rank(Matching(n, oracles.rotate(n, mirror, k)))
+                    for k in range(2 * n)]
         assert list(orbit_ranks(w, mirrors=False)) == rotations
         assert list(orbit_ranks(w)) == rotations + mirrored
         assert rotations[0] == r
@@ -212,9 +214,9 @@ def test_symmetric_decoding_self_check_raises(monkeypatch):
 
 def test_symmetric_bit_codec_rejections():
     with pytest.raises(ValueError):
-        symmetric_to_bits(Matching.from_text(3, "1-2,3-6,4-5"))  # odd n
+        symmetric_to_bits(Matching(3, [(1, 2), (3, 6), (4, 5)]))  # odd n
     with pytest.raises(ValueError):
-        symmetric_to_bits(Matching.from_text(4, "1-2,3-8,4-5,6-7"))
+        symmetric_to_bits(Matching(4, [(1, 2), (3, 8), (4, 5), (6, 7)]))
     with pytest.raises(ValueError):
         bits_to_symmetric(3, "101")
     with pytest.raises(ValueError):
@@ -226,20 +228,20 @@ def test_symmetric_bit_codec_rejections():
 
 
 def test_segment_word_reads_minority_arc_in_arc_order():
-    m = Matching.from_text(6, "2-9,3-4,5-6,7-8,10-11,1-12")
+    m = Matching(6, [(2, 9), (3, 4), (5, 6), (7, 8), (10, 11), (1, 12)])
     # (2,9) opens at 9; the hidden arc 10,11,12,1 carries two edges
     assert segment_to_dyck(m, (2, 9)) == "UDUD"
     assert segment_to_dyck(m, (3, 4)) == ""
-    m2 = Matching.from_text(6, "1-6,2-5,3-4,7-8,9-10,11-12")
+    m2 = Matching(6, [(1, 6), (2, 5), (3, 4), (7, 8), (9, 10), (11, 12)])
     assert segment_to_dyck(m2, (1, 6)) == "UUDD"
 
 
 def test_segment_word_rejects_invisible_or_missing_edges():
-    m = Matching.from_text(6, "2-9,3-4,5-6,7-8,10-11,1-12")
+    m = Matching(6, [(2, 9), (3, 4), (5, 6), (7, 8), (10, 11), (1, 12)])
     with pytest.raises(ValueError):
         segment_to_dyck(m, (10, 11))  # hidden behind (2,9)
     with pytest.raises(ValueError):
         segment_to_dyck(m, (1, 2))    # not an edge
     with pytest.raises(ValueError):
         # a diameter chord never counts as visible
-        segment_to_dyck(Matching.from_text(3, "1-6,2-5,3-4"), (2, 5))
+        segment_to_dyck(Matching(3, [(1, 6), (2, 5), (3, 4)]), (2, 5))

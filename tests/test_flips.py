@@ -50,7 +50,7 @@ def test_apply_flip_round_trip():
 
 
 def test_apply_flip_rejects_bad_pairs():
-    m = Matching.from_text(4, "1-2,3-4,5-6,7-8")
+    m = Matching(4, [(1, 2), (3, 4), (5, 6), (7, 8)])
     with pytest.raises(ValueError):
         apply_flip(m, (1, 2), (1, 2))
     with pytest.raises(ValueError):
@@ -59,7 +59,7 @@ def test_apply_flip_rejects_bad_pairs():
 
 def test_blocked_pair_exists_and_rejected():
     # {1,2} and {4,5} cannot flip: {3,8} separates them
-    m = Matching.from_text(4, "1-2,3-8,4-5,6-7")
+    m = Matching(4, [(1, 2), (3, 8), (4, 5), (6, 7)])
     pairs = flippable_pairs(m)
     assert ((1, 2), (4, 5)) not in pairs
     with pytest.raises(ValueError):
@@ -71,14 +71,14 @@ def test_make_flip_fields():
     assert fl.out1 == (1, 2) and fl.out2 == (3, 4)
     assert {fl.in1, fl.in2} == {(2, 3), (1, 4)}
     assert fl.centered == is_centered(3, (1, 2), (3, 4))
-    rev = fl.reversed()
+    rev = make_flip(3, fl.in1, fl.in2)         # the flip back
     assert {rev.out1, rev.out2} == {fl.in1, fl.in2}
     assert {rev.in1, rev.in2} == {fl.out1, fl.out2}
     assert rev.centered == fl.centered
 
 
 def test_replay_checks_each_step():
-    m = Matching.from_text(3, "1-2,3-4,5-6")
+    m = Matching(3, [(1, 2), (3, 4), (5, 6)])
     f1 = make_flip(3, (1, 2), (3, 4))
     end = replay(m, [f1])
     assert (2, 3) in end and (1, 4) in end

@@ -7,9 +7,10 @@ from array import array
 
 import pytest
 
-from matchflip.chords import rotate
+from matchflip import graphs
 from matchflip.counts import MEASURED, catalan
-from matchflip.dyck import enumerate_matchings, rank, to_dyck, unrank
+from matchflip.dyck import (_unrank_word, enumerate_matchings, rank, to_dyck,
+                            unrank)
 from matchflip.errors import ResourceLimitError
 from matchflip.flips import is_centered, neighbors
 from matchflip.graphs import (FlipGraph, _farthest, bfs_distances,
@@ -26,7 +27,7 @@ def test_adjacency_matches_per_matching_neighbors(n, mode):
     g = cached_graph(n, mode)
     assert g.vertex_count == catalan(n)
     for r in range(g.vertex_count):
-        m = g.matching(r)
+        m = unrank(n, r)
         expected = sorted(rank(nb) for nb in neighbors(m, mode=mode))
         assert list(g.neighbors(r)) == expected
         assert g.degree(r) == len(expected)
@@ -115,18 +116,16 @@ def test_centered_mode_is_the_flagged_subgraph(n):
     assert g.centered_edge_count == len(kept) == h.edge_count
     # flags agree with the flip predicate itself
     for r, s, cen in g.edges():
-        m = g.matching(r)
-        moved = sorted(set(m.pairs) ^ set(g.matching(s).pairs))
+        m = unrank(n, r)
+        moved = sorted(set(m.pairs) ^ set(unrank(n, s).pairs))
         e, f = [c for c in moved if c in m]
         assert cen == is_centered(n, e, f)
 
 
 def test_vertex_labels_round_trip():
-    g = cached_graph(4, "all")
-    for r in range(g.vertex_count):
-        assert g.word(r) == to_dyck(g.matching(r))
-        assert rank(g.matching(r)) == r
-    assert g.matching(5) == unrank(4, 5)
+    for r in range(catalan(4)):
+        assert _unrank_word(4, r) == to_dyck(unrank(4, r))
+        assert rank(unrank(4, r)) == r
 
 
 def test_build_rejects_bad_arguments():
@@ -167,7 +166,7 @@ def test_degree_sum_and_maximum(n):
     g = cached_graph(n, "all")
     assert 2 * g.edge_count * (n + 2) == catalan(n) * 2 * n * (n - 1)
     assert max(g.degrees()) == g.degree(g.vertex_count - 1) == n * (n - 1) // 2
-    assert g.word(g.vertex_count - 1) == "UD" * n
+    assert _unrank_word(n, g.vertex_count - 1) == "UD" * n
 
 
 def test_degree_summary_is_consistent():
@@ -235,7 +234,7 @@ def test_component_report_matches_matching_oracles(n, mode):
     assert len(report) == len(comps)
     for entry, comp in zip(report, comps):
         assert entry["symmetric_count"] == sum(
-            rotate(ms[r], n) == ms[r] for r in comp)
+            oracles.rotate(n, ms[r].pairs, n) == ms[r].pairs for r in comp)
         if n % 2:
             assert "weights" not in entry
             continue
@@ -381,8 +380,25 @@ def test_multi_source_farthest_matches_single_bfs(n, mode):
         for s in sources:
             dist = bfs_distances(g, s)      # -1 outside s's component
             want[s] = (max(dist), dist.index(max(dist)))
-        assert _farthest(g, sources) == want
-        assert _farthest(g, sources + sources[:1]) == want
+        reach = v - bfs_distances(g, sources[0]).count(-1)
+        assert _farthest(g, sources) == (want, reach)
+        assert _farthest(g, sources + sources[:1]) == (want, reach)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("exact_limit", [6000, 1])
+def test_diameter_runs_only_the_multi_source_kernel(n, exact_limit,
+                                                    monkeypatch):
+    # connectivity comes from _farthest's first pass, not from a BFS;
+    # H_4 is disconnected and H_5 connected
+    def no_bfs(*args):
+        raise AssertionError("diameter ran a single-source BFS")
+
+    monkeypatch.setattr(graphs, "_bfs", no_bfs)
+    res = diameter(cached_graph(n, "centered"), exact_limit=exact_limit)
+    assert res.connected == (n % 2 == 1)
+    if not res.connected:
+        assert (res.value, res.lower, res.upper, res.witness) == (None,) * 4
 
 
 @pytest.mark.parametrize("exact_limit", [6000, 1])
@@ -453,7 +469,7 @@ def test_dot_output_shape():
     assert lines[0].startswith("graph ") and lines[-1] == "}"
     labels = [ln for ln in lines if "label=" in ln]
     assert len(labels) == g.vertex_count
-    assert f'[label="{g.word(0)}"]' in labels[0]
+    assert f'[label="{_unrank_word(3, 0)}"]' in labels[0]
     solid = sum("style=solid" in ln for ln in lines)
     dashed = sum("style=dashed" in ln for ln in lines)
     assert solid == g.centered_edge_count
@@ -475,4 +491,4 @@ def test_json_obj_fields():
     assert obj["n"] == 3 and obj["mode"] == "centered"
     assert obj["vertex_count"] == 5
     assert len(obj["edges"]) == obj["edge_count"] == g.edge_count
-    assert obj["words"] == [g.word(r) for r in range(5)]
+    assert obj["words"] == [_unrank_word(3, r) for r in range(5)]

@@ -7,9 +7,9 @@ import pytest
 from matchflip import rainbow
 from matchflip.chords import chord_length
 from matchflip.cli import EXIT_MISMATCH, main
-from matchflip.dyck import rank
+from matchflip.dyck import rank, unrank
 from matchflip.errors import VerificationError
-from matchflip.flips import Flip
+from matchflip.flips import Flip, make_flip
 from matchflip.graphs import build_flip_graph
 from matchflip.rainbow import (admissible_chords, find_rainbow_cycle,
                                nonexistence_bound, odd_average_certificate,
@@ -193,7 +193,7 @@ def test_verifier_rejects_corrupted_cycles():
 
     # swapping one flip's direction breaks the replay
     tampered = flips.copy()
-    tampered[3] = tampered[3].reversed()
+    tampered[3] = make_flip(4, tampered[3].in1, tampered[3].in2)
     assert verify_rainbow(4, 1, res.start, tampered)[0] is False
 
     # lying about centeredness is caught
@@ -203,7 +203,7 @@ def test_verifier_rejects_corrupted_cycles():
     assert verify_rainbow(4, 1, res.start, lied)[0] is False
 
     # starting elsewhere breaks closure
-    other = cached_graph(4, "centered").matching((rank(res.start) + 1) % 14)
+    other = unrank(4, (rank(res.start) + 1) % 14)
     assert verify_rainbow(4, 1, other, flips)[0] is False
 
 

@@ -22,7 +22,7 @@ from .dyck import (band_weight, bits_to_symmetric, dyck_words,
                    segment_to_dyck, symmetric_to_bits, to_dyck, unrank)
 from .errors import ResourceLimitError, VerificationError
 from .flips import (Flip, apply_flip, flippable_pairs, is_centered,
-                    make_flip, neighbors, replay)
+                    make_flip, replay)
 from .graphs import (DiameterResult, FlipGraph, bfs_distances,
                      build_flip_graph, component_report, csv_lines, diameter,
                      dot_lines, graph_json_obj)
@@ -43,7 +43,7 @@ __all__ = [
     "enumerate_matchings", "find_rainbow_cycle", "flippable_pairs",
     "from_dyck", "graph_json_obj", "hidden_behind", "is_centered",
     "is_centrally_symmetric", "make_chord", "make_flip", "max_length",
-    "narayana", "neighbors", "nonexistence_bound",
+    "narayana", "nonexistence_bound",
     "odd_average_certificate", "opening_endpoint", "peaks",
     "perimeter_class_size", "perimeter_edge_count", "perimeter_matching",
     "perimeter_swap_path", "predicted_extremes", "rank", "replay",

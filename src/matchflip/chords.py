@@ -9,7 +9,7 @@ edge weights.  No floating point is used outside the test-only oracle.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Chord = tuple[int, int]
 
@@ -120,15 +120,6 @@ class Matching:
     def to_text(self) -> str:
         return ",".join(f"{a}-{b}" for a, b in self.pairs)
 
-    def partner_of(self, p: int) -> int:
-        if not 1 <= p <= 2 * self.n:
-            raise ValueError(f"point {p} out of range")
-        return self._partner[p]
-
-    def chord_at(self, p: int) -> Chord:
-        q = self.partner_of(p)
-        return (p, q) if p < q else (q, p)
-
     def __contains__(self, chord) -> bool:
         a, b = chord
         if a > b:
@@ -186,14 +177,18 @@ def visible_edges(m: Matching) -> list[Chord]:
     A diameter chord is itself not visible and is ignored when deciding the
     visibility of the other edges.  Returned sorted.
     """
-    n = m.n
+    return _visible(m.n, m.pairs)
+
+
+def _visible(n: int, pairs: Sequence[Chord]) -> list[Chord]:
+    # visible_edges of the matching whose sorted chords are pairs
     out = []
-    for e in m.pairs:
+    for e in pairs:
         a, b = e
         if b - a == n:
             continue
         vis = True
-        for f in m.pairs:
+        for f in pairs:
             if f is e or f[1] - f[0] == n:
                 continue
             if _hides_fast(n, f[0], f[1], a):

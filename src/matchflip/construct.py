@@ -3,17 +3,26 @@
 Two constructions: a reduction that walks any matching down to one of the
 two all-perimeter matchings in at most 4n-11 centered flips, and a direct
 path of exactly 3n-7 centered flips between the two all-perimeter
-matchings themselves.  Both trust their own steps: a flip is recorded
-and applied without re-checking it, so a route is a proof only once the
-caller has replayed it with flips.replay.
+matchings themselves.  The reduction steps one partner list with
+flips._flip, so each of its flips is checked as it is made and a bad one
+raises ValueError; the swap path is only recorded.  Either route is a
+proof only once the caller has replayed it from its start with
+flips.replay.
 """
 
 from __future__ import annotations
 
-from .chords import (Chord, Matching, _hides_fast, chord_length,
-                     diameter_chord, opening_endpoint, visible_edges)
+from .chords import (Chord, Matching, _hides_fast, _visible, chord_length,
+                     diameter_chord, opening_endpoint)
 from .errors import VerificationError
-from .flips import Flip, _arc_contains, flippable_pairs, make_flip
+from .flips import Flip, _flip, flippable_pairs, make_flip
+
+
+def _arc_contains(x: int, y: int, u: int) -> bool:
+    # u strictly inside the clockwise arc x -> y
+    if x < y:
+        return x < u < y
+    return u > x or u < y
 
 
 def _anti(n: int, x: int) -> int:
@@ -34,28 +43,24 @@ def _sorted(a: int, b: int) -> Chord:
     return (a, b) if a < b else (b, a)
 
 
-def _step(m: Matching, e: Chord, f: Chord) -> tuple[Flip, Matching]:
-    # flip e and f of m, trusted to be a flippable pair: the two in-chords
-    # take over the four endpoints
-    fl = make_flip(m.n, e, f)
-    partner = list(m._partner)
-    for a, b in (fl.in1, fl.in2):
-        partner[a], partner[b] = b, a
-    return fl, Matching._from_partner(m.n, partner)
+def _pairs(partner: list[int]) -> list[Chord]:
+    # the chords of a partner list, sorted as Matching.pairs
+    return [(x, y) for x, y in enumerate(partner) if y > x]
 
 
-def _reduce_batch(m: Matching) -> tuple[list[Flip], Matching]:
-    """One visibility-increasing batch of 3 or 4 centered flips.
+def _reduce_batch(n: int, partner: list[int]) -> list[Flip]:
+    """One visibility-increasing batch of 3 or 4 centered flips, stepped
+    on partner.
 
-    Precondition: m has no diameter edge and at least one non-perimeter
-    edge.  The batch removes a longest edge; the result has strictly more
-    visible edges and again no diameter edge.
+    Precondition: the matching has no diameter edge and at least one
+    non-perimeter edge.  The batch removes a longest edge; the result has
+    strictly more visible edges and again no diameter edge.
     """
-    n = m.n
+    pairs = _pairs(partner)
     # longest edge (always visible); ties broken toward the least smaller
     # endpoint
-    a = max(m.pairs, key=lambda e: (chord_length(n, e), -e[0]))
-    vis = set(visible_edges(m))
+    a = max(pairs, key=lambda e: (chord_length(n, e), -e[0]))
+    vis = set(_visible(n, pairs))
     p = opening_endpoint(n, a)
     xstar = {_anti(n, x) for x in range(1, 2 * n + 1)
              if x not in a and _hides_fast(n, a[0], a[1], x)}
@@ -65,55 +70,55 @@ def _reduce_batch(m: Matching) -> tuple[list[Flip], Matching]:
     r = None
     for off in range(1, 2 * n):
         pt = (pstar - 1 + off) % (2 * n) + 1
-        if pt in xstar and m.chord_at(pt) in vis:
+        if pt in xstar and _sorted(pt, partner[pt]) in vis:
             r = pt
             break
     if r is None:
         raise VerificationError(
             f"no visible edge reaches the reflected shadow of {a}")
     rstar = _anti(n, r)
-    if _arc_contains(rstar, r, m.partner_of(r)):
-        return _batch_core(m, a, r)
-    # mirror image: run the batch on the reflected matching, reflect back
-    refl_m = Matching(n, [(_refl(n, r, u), _refl(n, r, v)) for u, v in m.pairs])
-    refl_flips, _ = _batch_core(refl_m, _refl_chord(n, r, a), r)
-    flips = []
-    for rf in refl_flips:
-        fl, m = _step(m, _refl_chord(n, r, rf.out1), _refl_chord(n, r, rf.out2))
-        flips.append(fl)
-    return flips, m
+    if _arc_contains(rstar, r, partner[r]):
+        return _batch_core(n, partner, a, r)
+    # mirror image: run the batch on a reflected copy, then step the
+    # reflected-back flips on partner
+    refl = [0] * (2 * n + 1)
+    for x in range(1, 2 * n + 1):
+        refl[_refl(n, r, x)] = _refl(n, r, partner[x])
+    return [_flip(n, partner, _refl_chord(n, r, rf.out1),
+                  _refl_chord(n, r, rf.out2))
+            for rf in _batch_core(n, refl, _refl_chord(n, r, a), r)]
 
 
-def _batch_core(m: Matching, a: Chord, r: int) -> tuple[list[Flip], Matching]:
+def _batch_core(n: int, partner: list[int], a: Chord, r: int) -> list[Flip]:
     # assumes the mirror normalization: partner of r on the clockwise side
     # of the axis through r
-    n = m.n
     p = opening_endpoint(n, a)
     q = a[0] if p == a[1] else a[1]
     rstar = _anti(n, r)
-    bprime = _sorted(q, m.partner_of(r))
-    f1, m1 = _step(m, a, m.chord_at(r))
+    bprime = _sorted(q, partner[r])
+    f1 = _flip(n, partner, a, _sorted(r, partner[r]))
     b = _sorted(p, r)
 
     # edges straddling the axis through r; all live in the shadow of a and
     # form a nested chain around the antipode of r
-    crossing = [e for e in m1.pairs
+    crossing = [e for e in _pairs(partner)
                 if r not in e and rstar not in e
                 and _arc_contains(r, rstar, e[0]) != _arc_contains(r, rstar, e[1])]
     crossing.sort(key=lambda e: -chord_length(n, e))
 
     if not crossing:
-        f2, m2 = _step(m1, b, m1.chord_at(rstar))
-        f3, m3 = _step(m2, _sorted(r, rstar), bprime)
-        return [f1, f2, f3], m3
+        f2 = _flip(n, partner, b, _sorted(rstar, partner[rstar]))
+        f3 = _flip(n, partner, _sorted(r, rstar), bprime)
+        return [f1, f2, f3]
 
     c = crossing[0]
     u = c[0] if opening_endpoint(n, c) == c[1] else c[1]
-    f2, m2 = _step(m1, b, c)
-    e_edge = crossing[1] if len(crossing) > 1 else m2.chord_at(rstar)
-    f3, m3 = _step(m2, _sorted(r, u), e_edge)
-    f4, m4 = _step(m3, _sorted(r, opening_endpoint(n, e_edge)), bprime)
-    return [f1, f2, f3, f4], m4
+    f2 = _flip(n, partner, b, c)
+    e_edge = (crossing[1] if len(crossing) > 1
+              else _sorted(rstar, partner[rstar]))
+    f3 = _flip(n, partner, _sorted(r, u), e_edge)
+    f4 = _flip(n, partner, _sorted(r, opening_endpoint(n, e_edge)), bprime)
+    return [f1, f2, f3, f4]
 
 
 def canonical_flip_sequence(m: Matching) -> list[Flip]:
@@ -121,8 +126,9 @@ def canonical_flip_sequence(m: Matching) -> list[Flip]:
 
     At most 4n-11 flips: one to remove a center edge if present, then
     batches of at most 4 that each gain a visible edge.  Which of the two
-    all-perimeter matchings is reached depends on m.  The flips are not
-    re-checked here: callers prove the route by replaying it from m.
+    all-perimeter matchings is reached depends on m.  The flips are made
+    on one partner list and checked as they are made; callers still prove
+    the route by replaying it from m.
     """
     n = m.n
     if n % 2 == 0:
@@ -130,18 +136,16 @@ def canonical_flip_sequence(m: Matching) -> list[Flip]:
     if n < 3:
         raise ValueError("n must be >= 3")
     seq: list[Flip] = []
-    cur = m
-    diam = diameter_chord(cur)
+    partner = list(m._partner)
+    diam = diameter_chord(m)
     if diam is not None:
-        other = next((f if e == diam else e for e, f in flippable_pairs(cur)
+        other = next((f if e == diam else e for e, f in flippable_pairs(m)
                       if diam in (e, f)), None)
         if other is None:
             raise VerificationError(f"center edge {diam} has no flip")
-        fl, cur = _step(cur, diam, other)
-        seq.append(fl)
-    while any(chord_length(n, e) > 0 for e in cur.pairs):
-        batch, cur = _reduce_batch(cur)
-        seq.extend(batch)
+        seq.append(_flip(n, partner, diam, other))
+    while any(chord_length(n, e) > 0 for e in _pairs(partner)):
+        seq.extend(_reduce_batch(n, partner))
     return seq
 
 

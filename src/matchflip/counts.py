@@ -287,7 +287,8 @@ def _structure_rows(n: int, pred: dict, threads: int,
 
     if n % 2:
         rows.append(CountRow("H connected", 1, int(h.is_connected())))
-        # construct does not check its routes; these replays are the proof
+        # construct checks each flip as it goes; these replays from the
+        # start are the proof
         ends = (perimeter_matching(n), perimeter_matching(n, True))
         if n <= _ROUTE_LIMIT:
             good = ok = 0

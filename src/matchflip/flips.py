@@ -9,12 +9,16 @@ center on the quadrilateral boundary still counts as centered).
 On balanced words a flip is a transposition of two letters, so the rank
 of every neighbour follows from the current rank in O(1).  flip_cells
 below is the one code that lists a matching's flips: graph builds, the
-rainbow search, flippable_pairs and neighbors all read it.  It is a
-pass over a stream of (word, rank) pairs that keeps its state between
-words, so each word redoes only the letters after the prefix it shares
-with the one before, after undoing the previous word's letters there.
-_is_flippable, is_centered, apply_flip and replay decide a single flip
-from the chords instead, and so check routes independently of it.
+rainbow search and flippable_pairs read it.  It is a pass over a
+stream of (word, rank) pairs that keeps its state between words, so each
+word redoes only the letters after the prefix it shares with the one
+before, after undoing the previous word's letters there.
+
+_flip is the one checked flip step on the chords: it flips a pair of a
+matching held as a partner list, in place, after checking that the pair
+spans an empty quadrilateral.  apply_flip, replay, the constructed
+routes and the rainbow replay all step through it, so they check routes
+independently of flip_cells.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .chords import Chord, Matching, chord_length, make_chord
-from .dyck import _d_terms, rank, to_dyck, unrank
+from .dyck import _d_terms, to_dyck
 
 
 @dataclass(frozen=True)
@@ -59,29 +63,6 @@ def is_centered(n: int, e: Chord, f: Chord) -> bool:
     total = (chord_length(n, e) + chord_length(n, f)
              + chord_length(n, in1) + chord_length(n, in2))
     return total == n - 2
-
-
-def _arc_contains(x: int, y: int, u: int) -> bool:
-    # u strictly inside the clockwise arc x -> y
-    if x < y:
-        return x < u < y
-    return u > x or u < y
-
-
-def _is_flippable(n: int, partner, e: Chord, f: Chord) -> bool:
-    """Direct test: no edge has one endpoint in each connecting arc."""
-    p1, p2, p3, p4 = sorted(e + f)
-    es = frozenset(e)
-    if es in (frozenset((p1, p2)), frozenset((p3, p4))):
-        arc1, arc2 = (p2, p3), (p4, p1)
-    elif es in (frozenset((p1, p4)), frozenset((p2, p3))):
-        arc1, arc2 = (p1, p2), (p3, p4)
-    else:
-        return False
-    for u in range(1, 2 * n + 1):
-        if _arc_contains(*arc1, u) and _arc_contains(*arc2, partner[u]):
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -208,41 +189,42 @@ def make_flip(n: int, e: Chord, f: Chord) -> Flip:
     return Flip(e, f, in1, in2, is_centered(n, e, f))
 
 
-def apply_flip(m: Matching, e: Chord, f: Chord) -> Matching:
-    """Flip edges e and f of m; raises if the pair is not flippable."""
-    n = m.n
+def _flip(n: int, partner: list[int], e: Chord, f: Chord) -> Flip:
+    """Flip chords e and f of the matching held in partner, in place.
+
+    Raises ValueError unless e and f are two distinct chords of it whose
+    quadrilateral is empty, that is, every point strictly inside the
+    first in-chord is matched inside it.
+    """
     e = make_chord(n, *e)
     f = make_chord(n, *f)
-    if e not in m or f not in m:
+    if partner[e[0]] != e[1] or partner[f[0]] != f[1]:
         raise ValueError(f"{e} and {f} must both be edges of the matching")
     if e == f:
         raise ValueError("cannot flip an edge with itself")
-    if not _is_flippable(n, m._partner, e, f):
-        raise ValueError(f"pair {e}, {f} is blocked; quadrilateral not empty")
     in1, in2 = _in_chords(e, f)
-    pairs = [c for c in m.pairs if c != e and c != f] + [in1, in2]
-    return Matching(n, pairs)
+    a, b = in1
+    if not all(a < partner[u] < b for u in range(a + 1, b)):
+        raise ValueError(f"pair {e}, {f} is blocked; quadrilateral not empty")
+    for x, y in (in1, in2):
+        partner[x], partner[y] = y, x
+    return Flip(e, f, in1, in2, is_centered(n, e, f))
+
+
+def apply_flip(m: Matching, e: Chord, f: Chord) -> Matching:
+    """Flip edges e and f of m; raises if the pair is not flippable."""
+    partner = list(m._partner)
+    _flip(m.n, partner, e, f)
+    return Matching._from_partner(m.n, partner)
 
 
 def replay(m: Matching, flips) -> Matching:
     """Apply a flip sequence, validating each step; returns the endpoint."""
-    cur = m
+    partner = list(m._partner)
     for fl in flips:
-        nxt = apply_flip(cur, fl.out1, fl.out2)
-        if not (fl.in1 in nxt and fl.in2 in nxt):
+        got = _flip(m.n, partner, fl.out1, fl.out2)
+        if {got.in1, got.in2} != {fl.in1, fl.in2}:
             raise ValueError(f"flip {fl} recorded wrong in-chords")
-        if fl.centered != is_centered(m.n, fl.out1, fl.out2):
+        if got.centered != fl.centered:
             raise ValueError(f"flip {fl} recorded wrong centeredness")
-        cur = nxt
-    return cur
-
-
-def neighbors(m: Matching, mode: str = "all") -> list[Matching]:
-    """Matchings one flip away, in rank order (as FlipGraph.neighbors).
-
-    mode="centered" keeps only centered flips.
-    """
-    if mode not in ("all", "centered"):
-        raise ValueError(f"unknown mode {mode!r}")
-    cells = next(flip_cells(m.n, [(to_dyck(m), rank(m))], mode == "centered"))
-    return [unrank(m.n, r) for r in sorted(cell[0] for cell in cells)]
+    return Matching._from_partner(m.n, partner)

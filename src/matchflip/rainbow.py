@@ -19,8 +19,7 @@ from .chords import Chord, Matching, max_length
 from .counts import narayana
 from .dyck import _unrank_word, orbit_minima, unrank
 from .errors import VerificationError
-from .flips import (Flip, _in_chords, apply_flip, flip_cells, is_centered,
-                    make_flip)
+from .flips import Flip, _flip, _in_chords, flip_cells, make_flip
 from .graphs import FlipGraph, build_flip_graph
 
 
@@ -260,27 +259,26 @@ def verify_rainbow(n: int, r: int, start: Matching,
         return False, (f"length {len(flips)} != r*n^2/2 = {r * n * n}/2")
     appear: dict[Chord, int] = {}
     vanish: dict[Chord, int] = {}
-    seen = {start}
-    cur = start
+    partner = list(start._partner)
+    seen = {start._partner}
     for i, fl in enumerate(flips):
         try:
-            nxt = apply_flip(cur, fl.out1, fl.out2)
+            got = _flip(n, partner, fl.out1, fl.out2)
         except ValueError as exc:
             return False, f"flip {i} not applicable: {exc}"
-        if not (fl.centered and is_centered(n, fl.out1, fl.out2)):
+        if not (fl.centered and got.centered):
             return False, f"flip {i} is not a centered flip"
-        if {fl.in1, fl.in2} != set(nxt.pairs) - set(cur.pairs):
+        if {fl.in1, fl.in2} != {got.in1, got.in2}:
             return False, f"flip {i} records wrong incoming chords"
         for c in (fl.out1, fl.out2):
             vanish[c] = vanish.get(c, 0) + 1
         for c in (fl.in1, fl.in2):
             appear[c] = appear.get(c, 0) + 1
-        cur = nxt
         if i + 1 < len(flips):
-            if cur in seen:
+            if tuple(partner) in seen:
                 return False, f"vertex repeated after flip {i}"
-            seen.add(cur)
-    if cur != start:
+            seen.add(tuple(partner))
+    if tuple(partner) != start._partner:
         return False, "cycle does not close"
     for c in admissible_chords(n):
         if appear.get(c, 0) != r:

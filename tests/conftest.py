@@ -8,13 +8,21 @@ from functools import lru_cache
 
 import pytest
 
-from matchflip import build_flip_graph
+from matchflip import (apply_flip, build_flip_graph, flippable_pairs,
+                       is_centered)
 
 
 @lru_cache(maxsize=None)
 def cached_graph(n: int, mode: str):
     # big builds share workers; smaller ones are cheaper single-threaded
     return build_flip_graph(n, mode, threads=4 if n >= 10 else 1)
+
+
+def flip_neighbors(m, mode: str = "all"):
+    """Matchings one flip away from m, flipped one pair at a time by
+    apply_flip; mode "centered" keeps the centered flips only."""
+    return [apply_flip(m, e, f) for e, f in flippable_pairs(m)
+            if mode == "all" or is_centered(m.n, e, f)]
 
 
 @pytest.fixture(scope="session")

@@ -99,8 +99,6 @@ def test_matching_text_round_trip():
 
 def test_matching_lookup_api():
     m = Matching(3, [(1, 2), (3, 6), (4, 5)])
-    assert m.partner_of(3) == 6 and m.partner_of(6) == 3
-    assert m.chord_at(5) == (4, 5)
     assert (3, 6) in m and (6, 3) in m and (1, 4) not in m
     assert len(m) == 3
     assert sorted(m) == [(1, 2), (3, 6), (4, 5)]

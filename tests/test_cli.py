@@ -2,10 +2,12 @@
 
 import ast
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -291,24 +293,46 @@ def test_export_list_resolves_without_repeats():
     assert len(set(matchflip.__all__)) == len(matchflip.__all__)
 
 
+def _module_named(node, modules: dict):
+    # the matchflip module that the expression node names, else None
+    if isinstance(node, ast.Name):
+        return modules.get(node.id)
+    if isinstance(node, ast.Attribute):
+        sub = getattr(_module_named(node.value, modules), node.attr, None)
+        return sub if isinstance(sub, ModuleType) else None
+    return None
+
+
 def _engine_names_read(path: Path) -> set:
     """Engine names that the file at path reads: names it imports from
     matchflip and, in a module of the package, its own top-level names,
-    each outside the statement that defines it, and every attribute
-    name.  A bare name counts only where the file imports or defines
-    it, so bench/layers.py's local list `mirror` does not count; an
-    attribute counts by its name alone, so g.neighbors(r) reads
-    FlipGraph.neighbors and flips.neighbors alike."""
+    each outside the statement that defines it, and attributes of a
+    matchflip module.  A bare name counts only where the file imports or
+    defines it, so bench/layers.py's local list `mirror` does not count;
+    an attribute counts only off a module, so g.neighbors(r) reads no
+    engine name."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     bound = set()
+    modules = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
                 node.level or (node.module or "").startswith("matchflip")):
-            bound.update(alias.asname or alias.name for alias in node.names)
+            base = importlib.import_module(
+                ".".join(filter(None, ("matchflip", node.module)))
+                if node.level else node.module)
+            for alias in node.names:
+                name = alias.asname or alias.name
+                bound.add(name)
+                sub = getattr(base, alias.name, None)
+                if isinstance(sub, ModuleType):
+                    modules[name] = sub
         elif isinstance(node, ast.Import):
-            bound.update((alias.asname or alias.name).split(".")[0]
-                         for alias in node.names
-                         if alias.name.startswith("matchflip"))
+            for alias in node.names:
+                if alias.name.startswith("matchflip"):
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound.add(name)
+                    modules[name] = importlib.import_module(
+                        alias.name if alias.asname else "matchflip")
     own = {}
     if path.parent == Path(cli.__file__).parent:
         for stmt in tree.body:
@@ -326,7 +350,8 @@ def _engine_names_read(path: Path) -> set:
             if (isinstance(node, ast.Name) and node.id in readable
                     and isinstance(node.ctx, ast.Load)):
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif (isinstance(node, ast.Attribute)
+                  and _module_named(node.value, modules) is not None):
                 read.add(node.attr)
     return read
 

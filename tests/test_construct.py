@@ -1,9 +1,11 @@
 """Constructive centered-flip routes: reduction to a perimeter matching
 and the fixed-length path between the two perimeter matchings."""
 
+import hashlib
+
 import pytest
 
-from matchflip.chords import diameter_chord, perimeter_matching
+from matchflip.chords import Matching, diameter_chord, perimeter_matching
 from matchflip.construct import canonical_flip_sequence, perimeter_swap_path
 from matchflip.dyck import enumerate_matchings
 from matchflip.flips import apply_flip, is_centered, make_flip, replay
@@ -85,3 +87,41 @@ def test_short_instances_have_short_routes():
     # n=3: bound 4n-11 = 1, so every matching is one centered flip away
     for m in enumerate_matchings(3):
         assert len(canonical_flip_sequence(m)) <= 1
+
+
+# sha256 of the repr of every route's (out1, out2, in1, in2, centered)
+# records at n = 3, 5, 7 and 9, in rank order, recorded when each route
+# step built a new Matching
+_ROUTES_SHA256 = ("703c187937667b0882f6978017d13b28"
+                  "0e74f91dd4fe1373a19c432023667ec1")
+
+
+def test_routes_are_pinned():
+    routes = [[(f.out1, f.out2, f.in1, f.in2, f.centered)
+               for f in canonical_flip_sequence(m)]
+              for n in (3, 5, 7, 9) for m in enumerate_matchings(n)]
+    assert len(routes) == 5338
+    digest = hashlib.sha256(repr(routes).encode()).hexdigest()
+    assert digest == _ROUTES_SHA256
+
+
+def test_replay_builds_one_matching(monkeypatch):
+    # the replay steps one partner list and builds only its endpoint
+    start, path = perimeter_matching(11), perimeter_swap_path(11)
+    built = []
+    init, from_partner = Matching.__init__, Matching._from_partner.__func__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_from_partner(cls, *args):
+        built.append(args)
+        return from_partner(cls, *args)
+
+    monkeypatch.setattr(Matching, "__init__", counted_init)
+    monkeypatch.setattr(Matching, "_from_partner",
+                        classmethod(counted_from_partner))
+    end = replay(start, path)
+    assert len(built) == 1
+    assert end == perimeter_matching(11, shifted=True)

@@ -183,7 +183,7 @@ def test_peaks_count_short_edges(n):
     # a UD factor at positions i, i+1 is exactly the edge (i, i+1), so
     # peaks misses only the wrapped short edge (1, 2n)
     for m in enumerate_matchings(n):
-        wrapped = 1 if m.partner_of(1) == 2 * n else 0
+        wrapped = 1 if (1, 2 * n) in m else 0
         assert peaks(to_dyck(m)) == perimeter_edge_count(m) - wrapped
 
 

@@ -1,26 +1,36 @@
 import random
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
 from matchflip import (Matching, apply_flip, diameter_chord, flippable_pairs,
-                       is_centered, make_flip, neighbors, replay)
+                       is_centered, make_flip, replay)
 from matchflip.counts import catalan
-from matchflip.dyck import _unrank_word, enumerate_matchings, rank, unrank
+from matchflip.dyck import _unrank_word, enumerate_matchings
 from matchflip.flips import _in_chords, flip_cells
 
 import oracles
-from conftest import cached_graph
+from conftest import cached_graph, flip_neighbors
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_flippable_pairs_against_brute_force(n):
-    # flippable_pairs reads the (a, b, c, d) chord fields of flip_cells
+    # flippable_pairs reads the (a, b, c, d) chord fields of flip_cells;
+    # apply_flip decides every pair of chords on its own, blocked ones too
     for m in enumerate_matchings(n):
         expect = oracles.oracle_flippable_pairs(n, m.pairs)
         got = flippable_pairs(m)
         assert sorted(got) == sorted(expect), m
         for e, f in got:
             assert set(_in_chords(e, f)) == set(expect[(e, f)]), (m, e, f)
+        for e, f in combinations(m.pairs, 2):
+            if (e, f) not in expect:
+                with pytest.raises(ValueError):
+                    apply_flip(m, e, f)
+                continue
+            nxt = apply_flip(m, e, f)
+            assert all(c in nxt for c in expect[(e, f)]), (m, e, f)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -82,31 +92,23 @@ def test_replay_checks_each_step():
     f1 = make_flip(3, (1, 2), (3, 4))
     end = replay(m, [f1])
     assert (2, 3) in end and (1, 4) in end
-    # a flip that does not apply must be rejected mid-replay
-    with pytest.raises(ValueError):
-        replay(m, [f1, f1])
+    # a flip that does not apply must be rejected mid-replay, and so must
+    # a record whose in-chords or centered flag are not what the flip does
+    for bad in ([f1, f1], [replace(f1, in1=(1, 6), in2=(2, 5))],
+                [replace(f1, centered=not f1.centered)]):
+        with pytest.raises(ValueError):
+            replay(m, bad)
 
 
 @pytest.mark.parametrize("mode", ("all", "centered"))
 def test_neighbors_match_flippable_pairs(mode):
+    # distinct pairs give distinct neighbours, and each flips back to m in
+    # the same mode
     for n in (3, 4, 5):
         for m in enumerate_matchings(n):
-            pairs = flippable_pairs(m)
-            if mode == "centered":
-                pairs = [p for p in pairs if is_centered(n, *p)]
-            nbrs = neighbors(m, mode)
-            assert len(nbrs) == len(pairs)
+            nbrs = flip_neighbors(m, mode)
             assert len(set(nbrs)) == len(nbrs)
-            assert set(nbrs) == {apply_flip(m, e, f) for e, f in pairs}
-
-
-@pytest.mark.parametrize("mode", ("all", "centered"))
-def test_neighbors_in_rank_order(mode):
-    for n in (3, 4, 5, 6):
-        g = cached_graph(n, mode)
-        for r in range(g.vertex_count):
-            got = [rank(x) for x in neighbors(unrank(n, r), mode)]
-            assert got == list(g.neighbors(r)), r
+            assert all(m in flip_neighbors(x, mode) for x in nbrs), m
 
 
 @pytest.mark.parametrize("n", (3, 5, 7))

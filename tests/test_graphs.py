@@ -12,23 +12,24 @@ from matchflip.counts import MEASURED, catalan
 from matchflip.dyck import (_unrank_word, enumerate_matchings, rank, to_dyck,
                             unrank)
 from matchflip.errors import ResourceLimitError
-from matchflip.flips import is_centered, neighbors
+from matchflip.flips import is_centered
 from matchflip.graphs import (FlipGraph, _farthest, bfs_distances,
                               build_flip_graph, component_report, csv_lines,
                               diameter, dot_lines, graph_json_obj)
 
 import oracles
-from conftest import cached_graph
+from conftest import cached_graph, flip_neighbors
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("mode", ["all", "centered"])
 def test_adjacency_matches_per_matching_neighbors(n, mode):
+    # rows from flip_cells against apply_flip, one pair at a time
     g = cached_graph(n, mode)
     assert g.vertex_count == catalan(n)
     for r in range(g.vertex_count):
         m = unrank(n, r)
-        expected = sorted(rank(nb) for nb in neighbors(m, mode=mode))
+        expected = sorted(rank(nb) for nb in flip_neighbors(m, mode))
         assert list(g.neighbors(r)) == expected
         assert g.degree(r) == len(expected)
 

@@ -7,10 +7,11 @@ from matchflip.chords import (Matching, chord_length, hidden_behind,
 from matchflip.construct import canonical_flip_sequence
 from matchflip.counts import catalan
 from matchflip.dyck import from_dyck, rank, to_dyck, unrank
-from matchflip.flips import (apply_flip, flippable_pairs, is_centered,
-                             make_flip, neighbors, replay)
+from matchflip.flips import (apply_flip, flip_cells, flippable_pairs,
+                             is_centered, make_flip, replay)
 
 import oracles
+from conftest import flip_neighbors
 
 
 @st.composite
@@ -58,9 +59,10 @@ def test_flips_are_involutions(m, rng):
 @given(matchings(), st.integers(min_value=1, max_value=23))
 def test_rotation_is_a_flip_graph_automorphism(m, steps):
     rot = _rotate(m, steps)
-    assert {_rotate(x, steps) for x in neighbors(m)} == set(neighbors(rot))
-    assert ({_rotate(x, steps) for x in neighbors(m, mode="centered")} ==
-            set(neighbors(rot, mode="centered")))
+    assert ({_rotate(x, steps) for x in flip_neighbors(m)} ==
+            set(flip_neighbors(rot)))
+    assert ({_rotate(x, steps) for x in flip_neighbors(m, "centered")} ==
+            set(flip_neighbors(rot, "centered")))
 
 
 @common
@@ -68,9 +70,10 @@ def test_rotation_is_a_flip_graph_automorphism(m, steps):
 def test_mirror_is_a_flip_graph_automorphism(m):
     mir = _mirror(m)
     assert _mirror(mir) == m
-    assert {_mirror(x) for x in neighbors(m)} == set(neighbors(mir))
-    assert ({_mirror(x) for x in neighbors(m, mode="centered")} ==
-            set(neighbors(mir, mode="centered")))
+    assert ({_mirror(x) for x in flip_neighbors(m)} ==
+            set(flip_neighbors(mir)))
+    assert ({_mirror(x) for x in flip_neighbors(m, "centered")} ==
+            set(flip_neighbors(mir, "centered")))
 
 
 @common
@@ -108,7 +111,8 @@ def test_reduction_stays_within_budget(m):
     seq = canonical_flip_sequence(m)
     assert len(seq) <= 4 * m.n - 11
     assert all(fl.centered for fl in seq)
-    # construct trusts its own steps; the replay is the proof
+    # construct checks each flip as it makes it; the replay from m is
+    # still the proof
     assert replay(m, seq) in (perimeter_matching(m.n),
                               perimeter_matching(m.n, shifted=True))
 
@@ -116,10 +120,11 @@ def test_reduction_stays_within_budget(m):
 @common
 @given(matchings())
 def test_centered_neighbor_counts_never_exceed_all_flips(m):
-    cen = neighbors(m, mode="centered")
-    every = neighbors(m)
+    # flip_cells' targets and centered flags against apply_flip and
+    # is_centered, one pair at a time
+    cells = next(flip_cells(m.n, [(to_dyck(m), rank(m))]))
+    every = sorted(rank(x) for x in flip_neighbors(m))
+    cen = sorted(rank(x) for x in flip_neighbors(m, "centered"))
+    assert sorted(cell[0] for cell in cells) == every
+    assert sorted(cell[0] for cell in cells if cell[1]) == cen
     assert set(cen) <= set(every)
-    seen = {frozenset((e, f)): is_centered(m.n, e, f)
-            for e, f in flippable_pairs(m)}
-    assert sum(seen.values()) == len(cen)
-    assert len(seen) == len(every)

@@ -7,7 +7,7 @@ import pytest
 from matchflip import (Matching, apply_flip, diameter_chord, flippable_pairs,
                        is_centered, make_flip, replay)
 from matchflip.counts import catalan
-from matchflip.dyck import _unrank_word, enumerate_matchings
+from matchflip.dyck import _unrank_word, enumerate_matchings, rank, unrank
 from matchflip.flips import _in_chords, flip_cells
 
 import oracles
@@ -109,6 +109,18 @@ def test_neighbors_match_flippable_pairs(mode):
             nbrs = flip_neighbors(m, mode)
             assert len(set(nbrs)) == len(nbrs)
             assert all(m in flip_neighbors(x, mode) for x in nbrs), m
+
+
+@pytest.mark.parametrize("mode", ("all", "centered"))
+def test_neighbors_in_rank_order(mode):
+    # a FlipGraph row is the apply_flip neighbours' ranks, increasing
+    for n in (3, 4, 5, 6):
+        g = cached_graph(n, mode)
+        for r in range(g.vertex_count):
+            row = list(g.neighbors(r))
+            assert all(x < y for x, y in zip(row, row[1:])), r
+            got = {rank(x) for x in flip_neighbors(unrank(n, r), mode)}
+            assert row == sorted(got), r
 
 
 @pytest.mark.parametrize("n", (3, 5, 7))

@@ -45,6 +45,8 @@ class Flip:
 def _in_chords(e: Chord, f: Chord) -> tuple[Chord, Chord]:
     """The opposite pair of quadrilateral sides, for non-interleaved e, f."""
     p1, p2, p3, p4 = sorted(e + f)
+    if not p1 < p2 < p3 < p4:
+        raise ValueError(f"chords {e} and {f} share an endpoint")
     es = frozenset(e)
     if es in (frozenset((p1, p2)), frozenset((p3, p4))):
         return (p2, p3), (p1, p4)
@@ -57,12 +59,13 @@ def is_centered(n: int, e: Chord, f: Chord) -> bool:
     """True iff the quadrilateral spanned by e and f contains the center."""
     e = make_chord(n, *e)
     f = make_chord(n, *f)
-    if set(e) & set(f):
-        raise ValueError(f"chords {e} and {f} share an endpoint")
-    in1, in2 = _in_chords(e, f)
-    total = (chord_length(n, e) + chord_length(n, f)
-             + chord_length(n, in1) + chord_length(n, in2))
-    return total == n - 2
+    return _centered(n, e, f, *_in_chords(e, f))
+
+
+def _centered(n: int, e: Chord, f: Chord, in1: Chord, in2: Chord) -> bool:
+    # the exact criterion on the four sides of the quadrilateral
+    return (chord_length(n, e) + chord_length(n, f)
+            + chord_length(n, in1) + chord_length(n, in2)) == n - 2
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +189,7 @@ def make_flip(n: int, e: Chord, f: Chord) -> Flip:
     e = make_chord(n, *e)
     f = make_chord(n, *f)
     in1, in2 = _in_chords(e, f)
-    return Flip(e, f, in1, in2, is_centered(n, e, f))
+    return Flip(e, f, in1, in2, _centered(n, e, f, in1, in2))
 
 
 def _flip(n: int, partner: list[int], e: Chord, f: Chord) -> Flip:
@@ -208,7 +211,7 @@ def _flip(n: int, partner: list[int], e: Chord, f: Chord) -> Flip:
         raise ValueError(f"pair {e}, {f} is blocked; quadrilateral not empty")
     for x, y in (in1, in2):
         partner[x], partner[y] = y, x
-    return Flip(e, f, in1, in2, is_centered(n, e, f))
+    return Flip(e, f, in1, in2, _centered(n, e, f, in1, in2))
 
 
 def apply_flip(m: Matching, e: Chord, f: Chord) -> Matching:

@@ -9,13 +9,14 @@ targets array, so neighbor lists are deterministic slices.
 
 from __future__ import annotations
 
+import os
 import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, islice, repeat, tee
+from itertools import accumulate, chain, compress, cycle, islice, repeat, tee
 from operator import itemgetter, lt, sub
-from typing import Iterator
+from typing import BinaryIO, Iterator, NoReturn
 
 from .dyck import _symmetric, _weight, catalan, dyck_words, orbit_minima
 from .errors import ResourceLimitError
@@ -23,15 +24,18 @@ from .flips import flip_cells
 
 MODES = ("all", "centered")
 _first, _second = itemgetter(0), itemgetter(1)
-# ranks per worker task: the parent merges one such chunk at a time
+# ranks per worker job: the parent merges one such chunk at a time
 _CHUNK_RANKS = 2048
+# a worker's exit status for MemoryError, which the parent raises again
+_EXIT_NO_MEMORY = 3
 
 
-def _chunk_rows(args) -> tuple[list[int], array, bytes]:
-    """Adjacency rows for ranks [start, stop); multiprocessing worker."""
+def _chunk_rows(args) -> tuple[array, array, bytes]:
+    """Adjacency rows for ranks [start, stop): the row counts as an
+    array("i"), the sorted targets and the centered flags."""
     n, mode, start, stop = args
     centered_only = mode == "centered"
-    counts: list[int] = []
+    counts = array("i")
     targets = array("i")
     flags = bytearray()
     words = zip(dyck_words(n, start), range(start, stop))
@@ -41,6 +45,38 @@ def _chunk_rows(args) -> tuple[list[int], array, bytes]:
         targets.extend(map(_first, cells))
         flags.extend(map(_second, cells))
     return counts, targets, bytes(flags)
+
+
+def _worker(out: BinaryIO, jobs: list[tuple], inherited: list) -> NoReturn:
+    """Body of a forked build worker; it never returns.
+
+    It closes the read ends it inherited, writes the row counts, targets
+    and flags of each job to out, and ends with os._exit, so it neither
+    flushes the stdio buffers it inherited nor runs atexit.  MemoryError
+    exits with _EXIT_NO_MEMORY; any other error prints its traceback to
+    fd 2 and exits with 1.
+    """
+    status = 1
+    try:
+        for src in inherited:
+            src.close()
+        for job in jobs:
+            out.writelines(_chunk_rows(job))
+        out.close()
+        status = 0
+    except MemoryError:
+        status = _EXIT_NO_MEMORY
+    except Exception:
+        import traceback
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def _read(src: BinaryIO, size: int) -> bytes:
+    if len(got := src.read(size)) < size:
+        raise EOFError
+    return got
 
 
 def _estimate_bytes(n: int) -> int:
@@ -173,10 +209,17 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
                      mem_budget: int | None = None) -> FlipGraph:
     """Enumerate all matchings of size n and wire up their flips.
 
-    threads > 1 hands chunks of at most _CHUNK_RANKS ranks, at least 4
-    per worker, to fork workers in rank order; the parent appends each
-    chunk's rows as it arrives, so besides the graph it holds only a few
-    chunks.  The result is byte-identical for any thread count.
+    threads > 1 cuts the ranks into chunks of at most _CHUNK_RANKS, at
+    least 4 per worker, and forks that many workers; worker w builds
+    chunks w, w + threads, ... and writes each chunk's row counts,
+    targets and flags as raw bytes to its own pipe.  The parent reads the
+    chunks in rank order and appends them to the graph, and a full pipe
+    holds each worker about one chunk ahead, so besides the graph the
+    parent holds about one chunk.  However the build ends, the parent
+    closes every pipe, kills the workers if it is unwinding from an
+    error, and reaps them all; a worker's MemoryError is raised again as
+    MemoryError, and any other worker failure or short read as
+    RuntimeError.  The result is byte-identical for any thread count.
     mem_budget (bytes) is checked against a size estimate before any
     allocation.
     """
@@ -194,24 +237,43 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
     if threads == 1 or v < 4 * threads:
         counts, targets, flags = _chunk_rows((n, mode, 0, v))
         offsets = array("q", accumulate(counts, initial=0))
-    else:
-        import multiprocessing as mp
-
-        size = min(_CHUNK_RANKS, -(-v // (4 * threads)))
-        jobs = [(n, mode, s, min(s + size, v)) for s in range(0, v, size)]
-        offsets = array("q", [0])
-        targets = array("i")
-        flags = bytearray()
-        ctx = mp.get_context("fork")
-        with ctx.Pool(threads) as pool:
-            # a chunk's offsets go on from the last one, so no list of
-            # row counts outlives its chunk
-            for counts, tg, fl in pool.imap(_chunk_rows, jobs):
-                offsets.extend(accumulate(counts, initial=offsets.pop()))
-                targets.extend(tg)
-                flags.extend(fl)
-        flags = bytes(flags)
-    return FlipGraph(n, mode, offsets, targets, flags)
+        return FlipGraph(n, mode, offsets, targets, flags)
+    size = min(_CHUNK_RANKS, -(-v // (4 * threads)))
+    jobs = [(n, mode, s, min(s + size, v)) for s in range(0, v, size)]
+    offsets, targets, flags = array("q", [0]), array("i"), bytearray()
+    pids, readers, done = [], [], False
+    try:
+        for w in range(threads):
+            rfd, wfd = os.pipe()
+            readers.append(open(rfd, "rb"))
+            with open(wfd, "wb") as out:
+                if not (pid := os.fork()):
+                    _worker(out, jobs[w::threads], readers)
+            pids.append(pid)
+        # job k comes from worker k mod threads
+        for (_, _, start, stop), src in zip(jobs, cycle(readers)):
+            counts = array("i", _read(src, 4 * (stop - start)))
+            # a chunk's offsets go on from the last one, and its targets
+            # and flags fill up to the new last offset
+            offsets.extend(accumulate(counts, initial=offsets.pop()))
+            targets.frombytes(_read(src, 4 * (offsets[-1] - len(targets))))
+            flags += _read(src, offsets[-1] - len(flags))
+        done = True
+    except EOFError:
+        pass                            # a worker died: its status says why
+    finally:
+        # kill before closing, so no worker sees a broken pipe; 9 is
+        # SIGKILL, named without the signal module, which takes 1 ms to import
+        for pid in pids if not done else ():
+            os.kill(pid, 9)
+        for src in readers:
+            src.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(p, 0)[1]) for p in pids]
+    if _EXIT_NO_MEMORY in codes:
+        raise MemoryError("a graph build worker ran out of memory")
+    if not done or any(codes):
+        raise RuntimeError(f"graph build workers exited with {codes}")
+    return FlipGraph(n, mode, offsets, targets, bytes(flags))
 
 
 def _bfs(g: FlipGraph, src: int, dist: array | list[int]) -> array:

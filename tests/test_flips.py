@@ -87,6 +87,15 @@ def test_make_flip_fields():
     assert rev.centered == fl.centered
 
 
+@pytest.mark.parametrize("e, f", [((1, 2), (2, 5)), ((1, 2), (1, 4)),
+                                  ((3, 6), (1, 6)), ((1, 4), (2, 5))])
+def test_chords_sharing_an_endpoint_or_interleaving_are_rejected(e, f):
+    # the first three share an endpoint, the last pair interleaves
+    for check in (is_centered, make_flip):
+        with pytest.raises(ValueError):
+            check(3, e, f)
+
+
 def test_replay_checks_each_step():
     m = Matching(3, [(1, 2), (3, 4), (5, 6)])
     f1 = make_flip(3, (1, 2), (3, 4))

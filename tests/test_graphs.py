@@ -1,6 +1,8 @@
 """Flip graph construction, traversal, diameter, and export formats."""
 
 import hashlib
+import os
+import subprocess
 import sys
 import tracemalloc
 from array import array
@@ -158,6 +160,60 @@ def test_threaded_build_is_byte_identical(n, mode, threads):
     assert a.offsets == b.offsets
     assert a.targets == b.targets
     assert a.flags == b.flags
+
+
+def _fault_on_job(monkeypatch, exc, fails):
+    # patched before the build, so the forked workers inherit the fault
+    chunk_rows = graphs._chunk_rows
+
+    def faulty(args):
+        if fails(*args[2:]):
+            raise exc
+        return chunk_rows(args)
+    monkeypatch.setattr(graphs, "_chunk_rows", faulty)
+
+
+# one failing job: the first (worker 0, whose partner is then killed
+# mid-build) or the last (worker 1, after worker 0 has finished)
+_JOBS = {"first": lambda start, stop: start == 0,
+         "last": lambda start, stop: stop == catalan(9)}
+
+
+@pytest.mark.parametrize("job", _JOBS)
+def test_worker_error_raises_runtime_error_and_reaps(monkeypatch, capfd, job):
+    _fault_on_job(monkeypatch, ValueError("bad chunk"), _JOBS[job])
+    with pytest.raises(RuntimeError, match="exited with"):
+        build_flip_graph(9, "all", threads=2)
+    err = capfd.readouterr().err
+    # one traceback: the other worker was killed, not left to a broken pipe
+    assert err.count("Traceback") == 1 and "ValueError: bad chunk" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("job", _JOBS)
+def test_worker_memory_error_raises_memory_error_and_reaps(monkeypatch, job):
+    _fault_on_job(monkeypatch, MemoryError(), _JOBS[job])
+    with pytest.raises(MemoryError):
+        build_flip_graph(9, "all", threads=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_leave_inherited_stdout_alone():
+    # stdout to a pipe is block-buffered, so "x" is still in the buffer
+    # when the workers fork; they must neither flush it nor need a Pool
+    code = ("import sys\n"
+            "from matchflip.graphs import build_flip_graph\n"
+            "sys.stdout.write('x')\n"
+            "build_flip_graph(9, 'all', threads=2)\n"
+            "sys.exit(sys.stdout.write_through\n"
+            "         or 'multiprocessing' in sys.modules)\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == b"x"
 
 
 @pytest.mark.parametrize("n", range(2, 11))

@@ -5,7 +5,7 @@ Every prediction and every check that re-derives one lives in `counts`;
 
 Same flags, same bytes: every command is deterministic.  Exit codes:
 0 success, 1 usage error, 2 verification mismatch, 3 search budget
-exhausted, 4 resource limit (memory budget, IO).
+exhausted, 4 resource limit (memory budget, IO, a failed build worker).
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import chain, islice
 
 from .counts import predicted_extremes, verify_counts
 from .dyck import dyck_words, enumerate_matchings, to_dyck
-from .errors import ResourceLimitError, VerificationError
+from .errors import ResourceLimitError, VerificationError, WorkerError
 from .graphs import (MODES, build_flip_graph, component_report, csv_lines,
                      diameter, dot_lines)
 from .rainbow import find_rainbow_cycle
@@ -106,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _json_default(obj):
+    from fractions import Fraction      # not at import: it loads decimal
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
@@ -383,6 +383,9 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except MemoryError:
         print(f"{parser.prog}: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
+    except WorkerError as exc:
+        print(f"{parser.prog}: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except BrokenPipeError:
         return EXIT_OK

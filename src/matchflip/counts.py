@@ -12,9 +12,8 @@ value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, pi, sqrt
+from typing import NamedTuple
 
 from .chords import max_length, perimeter_matching, visible_edges
 from .construct import canonical_flip_sequence, perimeter_swap_path
@@ -166,12 +165,12 @@ def component_size_fraction(n: int) -> tuple[Fraction, float]:
     """
     if n % 2:
         raise ValueError("defined for even n only")
+    from fractions import Fraction      # not at import: it loads decimal
     return (Fraction(narayana(1, n, n // 2), catalan(n)),
             2 / sqrt(pi * n))
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
     name: str
     predicted: int
     enumerated: int
@@ -181,8 +180,7 @@ class CountRow:
         return self.predicted == self.enumerated
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     n: int
     rows: tuple[CountRow, ...]
 

@@ -23,16 +23,14 @@ independently of flip_cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .chords import Chord, Matching, chord_length, make_chord
 from .dyck import _d_terms, to_dyck
 
 
-@dataclass(frozen=True)
-class Flip:
+class Flip(NamedTuple):
     """One flip: edges out1,out2 leave the matching, in1,in2 enter."""
 
     out1: Chord

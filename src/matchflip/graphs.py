@@ -13,13 +13,12 @@ import os
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, cycle, islice, repeat, tee
 from operator import itemgetter, lt, sub
-from typing import BinaryIO, Iterator, NoReturn
+from typing import BinaryIO, Iterator, NamedTuple, NoReturn
 
 from .dyck import _symmetric, _weight, catalan, dyck_words, orbit_minima
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, WorkerError
 from .flips import flip_cells
 
 MODES = ("all", "centered")
@@ -140,11 +139,9 @@ class FlipGraph:
                         map(lt, src2, tg))
 
     def degree_summary(self) -> dict:
-        degs = self.degrees()
-        lo, hi = min(degs), max(degs)
-        hist: dict[int, int] = {}
-        for d in degs:
-            hist[d] = hist.get(d, 0) + 1
+        off = self.offsets
+        hist = Counter(map(sub, islice(off, 1, None), off))
+        lo, hi = min(hist), max(hist)
         return {"min": lo, "max": hi, "min_count": hist[lo],
                 "max_count": hist[hi],
                 "histogram": dict(sorted(hist.items()))}
@@ -219,9 +216,9 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
     closes every pipe, kills the workers if it is unwinding from an
     error, and reaps them all; a worker's MemoryError is raised again as
     MemoryError, and any other worker failure or short read as
-    RuntimeError.  The result is byte-identical for any thread count.
-    mem_budget (bytes) is checked against a size estimate before any
-    allocation.
+    WorkerError, a RuntimeError.  The result is byte-identical for any
+    thread count.  mem_budget (bytes) is checked against a size estimate
+    before any allocation.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -272,7 +269,7 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
     if _EXIT_NO_MEMORY in codes:
         raise MemoryError("a graph build worker ran out of memory")
     if not done or any(codes):
-        raise RuntimeError(f"graph build workers exited with {codes}")
+        raise WorkerError(f"graph build workers exited with {codes}")
     return FlipGraph(n, mode, offsets, targets, bytes(flags))
 
 
@@ -358,8 +355,7 @@ def _farthest(g: FlipGraph, sources) -> tuple[dict, int]:
     return out, reach
 
 
-@dataclass(frozen=True)
-class DiameterResult:
+class DiameterResult(NamedTuple):
     connected: bool
     exact: bool
     value: int | None          # None when disconnected (infinite)

@@ -10,10 +10,8 @@ full reduced space was explored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .chords import Chord, Matching, max_length
 from .counts import narayana
@@ -35,8 +33,7 @@ def _chord_index(n: int) -> dict[Chord, int]:
     return {c: i for i, c in enumerate(admissible_chords(n))}
 
 
-@dataclass(frozen=True)
-class RainbowResult:
+class RainbowResult(NamedTuple):
     n: int
     r: int
     status: str                     # "found" | "none" | "budget"
@@ -55,6 +52,7 @@ def nonexistence_bound(n: int) -> Fraction:
     """Exact r threshold for even n: above it no r-rainbow cycle exists."""
     if n % 2:
         raise ValueError("the threshold applies to even n only")
+    from fractions import Fraction      # not at import: it loads decimal
     return Fraction(2 * narayana(1, n, n // 2), n * n)
 
 
@@ -69,6 +67,7 @@ def odd_average_certificate(n: int) -> dict:
         raise ValueError("the averaging certificate applies to odd n only")
     mu = max_length(n)
     total = sum(c * 2 * n for c in range(mu)) + mu * n
+    from fractions import Fraction
     return {"average_chord_length": Fraction(total, n * n),
             "max_flip_average_length": Fraction(n - 2, 4)}
 
@@ -172,6 +171,7 @@ class _Search:
                                 for u, v in zip(walk, walk[1:])], start
         finally:
             self.expanded = expanded
+            dfs = None      # dfs refers to itself; unbind it to free cand now
         return None
 
 
@@ -203,13 +203,12 @@ def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,
         return RainbowResult(n, r, "none", "parity",
                              {"twice_length": r * n * n})
     length = r * n * n // 2
-    if n % 2 == 0:
-        bound = nonexistence_bound(n)
-        if r > bound:
-            return RainbowResult(
-                n, r, "none", "threshold",
-                {"threshold": bound,
-                 "max_component_bound": narayana(1, n, n // 2)})
+    if n % 2 == 0 and r * n * n > 2 * narayana(1, n, n // 2):
+        # r > nonexistence_bound(n), tested in integers
+        return RainbowResult(
+            n, r, "none", "threshold",
+            {"threshold": nonexistence_bound(n),
+             "max_component_bound": narayana(1, n, n // 2)})
     g = graph if graph is not None else build_flip_graph(
         n, "centered", threads, mem_budget)
     if g.n != n or g.mode != "centered":

@@ -1,5 +1,6 @@
-"""Shared fixtures: a session-wide flip-graph cache and the acceptance
-criterion recorder that prints one PASS/FAIL line per criterion."""
+"""Shared fixtures: a session-wide flip-graph cache, a build-worker fault
+injector and the acceptance criterion recorder that prints one PASS/FAIL
+line per criterion."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 
 from matchflip import (apply_flip, build_flip_graph, flippable_pairs,
                        is_centered)
+from matchflip import graphs
 
 
 @lru_cache(maxsize=None)
@@ -23,6 +25,18 @@ def flip_neighbors(m, mode: str = "all"):
     apply_flip; mode "centered" keeps the centered flips only."""
     return [apply_flip(m, e, f) for e, f in flippable_pairs(m)
             if mode == "all" or is_centered(m.n, e, f)]
+
+
+def _fault_on_job(monkeypatch, exc, fails):
+    """Make graph build jobs raise exc where fails(start, stop) holds."""
+    # patched before the build, so the forked workers inherit the fault
+    chunk_rows = graphs._chunk_rows
+
+    def faulty(args):
+        if fails(*args[2:]):
+            raise exc
+        return chunk_rows(args)
+    monkeypatch.setattr(graphs, "_chunk_rows", faulty)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from matchflip.dyck import enumerate_matchings, to_dyck
 from matchflip.flips import make_flip
 from matchflip.graphs import MODES, diameter, graph_json_obj
 
-from conftest import cached_graph
+from conftest import _fault_on_job, cached_graph
 
 
 def run(capsys, *argv):
@@ -194,6 +194,19 @@ def test_memory_budget_exit_code(capsys):
         assert "resource limit" in err
 
 
+def test_failed_build_worker_exits_4(capfd, monkeypatch):
+    # a worker error other than MemoryError: the worker prints its own
+    # traceback, and the parent one line, not a second traceback
+    _fault_on_job(monkeypatch, ValueError("bad chunk"),
+                  lambda start, stop: start == 0)
+    code = main(["graph", "--n", "9", "--threads", "2", "--format", "table"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (4, "")
+    assert err.count("Traceback") == 1 and "ValueError: bad chunk" in err
+    assert err.splitlines()[-1].startswith(
+        "matchflip: graph build workers exited with [1, ")
+
+
 def test_rainbow_passes_threads_and_budget_to_its_build(capsys,
                                                         monkeypatch):
     builds = []
@@ -276,6 +289,29 @@ def test_cli_imports_no_theorem_modules():
                                                    "flips")}
     assert imported & forbidden == set()
     assert "matchflip.counts" in imported
+
+
+# modules whose import costs start-up time and memory and that no
+# command needs: dataclasses loads inspect, ast and dis, fractions loads
+# decimal
+_HEAVY_IMPORTS = """
+import sys
+from matchflip.cli import main
+heavy = ("dataclasses", "fractions", "decimal", "inspect")
+loaded = [[m for m in heavy if m in sys.modules]]
+for argv in (["rainbow", "--n", "6", "--r", "2"], ["diameter", "--n", "5"]):
+    main(argv)
+    loaded.append([m for m in heavy if m in sys.modules])
+print(loaded, file=sys.stderr)
+"""
+
+
+def test_commands_leave_heavy_modules_unimported():
+    proc = subprocess.run([sys.executable, "-c", _HEAVY_IMPORTS],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == "[[], [], []]\n"
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -1,11 +1,10 @@
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
-from matchflip import (Matching, apply_flip, diameter_chord, flippable_pairs,
-                       is_centered, make_flip, replay)
+from matchflip import (Flip, Matching, apply_flip, diameter_chord,
+                       flippable_pairs, is_centered, make_flip, replay)
 from matchflip.counts import catalan
 from matchflip.dyck import _unrank_word, enumerate_matchings, rank, unrank
 from matchflip.flips import _in_chords, flip_cells
@@ -103,8 +102,9 @@ def test_replay_checks_each_step():
     assert (2, 3) in end and (1, 4) in end
     # a flip that does not apply must be rejected mid-replay, and so must
     # a record whose in-chords or centered flag are not what the flip does
-    for bad in ([f1, f1], [replace(f1, in1=(1, 6), in2=(2, 5))],
-                [replace(f1, centered=not f1.centered)]):
+    for bad in ([f1, f1],
+                [Flip(f1.out1, f1.out2, (1, 6), (2, 5), f1.centered)],
+                [Flip(f1.out1, f1.out2, f1.in1, f1.in2, not f1.centered)]):
         with pytest.raises(ValueError):
             replay(m, bad)
 

@@ -20,7 +20,7 @@ from matchflip.graphs import (FlipGraph, _farthest, bfs_distances,
                               diameter, dot_lines, graph_json_obj)
 
 import oracles
-from conftest import cached_graph, flip_neighbors
+from conftest import _fault_on_job, cached_graph, flip_neighbors
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -160,17 +160,6 @@ def test_threaded_build_is_byte_identical(n, mode, threads):
     assert a.offsets == b.offsets
     assert a.targets == b.targets
     assert a.flags == b.flags
-
-
-def _fault_on_job(monkeypatch, exc, fails):
-    # patched before the build, so the forked workers inherit the fault
-    chunk_rows = graphs._chunk_rows
-
-    def faulty(args):
-        if fails(*args[2:]):
-            raise exc
-        return chunk_rows(args)
-    monkeypatch.setattr(graphs, "_chunk_rows", faulty)
 
 
 # one failing job: the first (worker 0, whose partner is then killed

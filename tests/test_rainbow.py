@@ -1,5 +1,6 @@
 """Rainbow cycle search: certificates, exhaustive searches, verification."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -214,3 +215,16 @@ def test_graph_reuse_matches_fresh_build():
     assert fresh.start == reused.start
     assert fresh.cycle == reused.cycle
     assert fresh.expanded == reused.expanded
+
+
+@pytest.mark.parametrize("n, r, force", [(6, 2, False), (5, 2, True)])
+def test_search_leaves_no_cyclic_garbage(n, r, force):
+    # each component's candidate table is freed by refcount when its
+    # search ends, not left for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        find_rainbow_cycle(n, r, force_search=force)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -19,8 +19,8 @@ from itertools import chain, islice
 from .counts import predicted_extremes, verify_counts
 from .dyck import dyck_words, enumerate_matchings, to_dyck
 from .errors import ResourceLimitError, VerificationError, WorkerError
-from .graphs import (MODES, build_flip_graph, component_report, csv_lines,
-                     diameter, dot_lines)
+from .graphs import (MODES, build_edge_rows, build_flip_graph,
+                     component_report, csv_lines, diameter, dot_lines)
 from .rainbow import find_rainbow_cycle
 
 EXIT_OK = 0
@@ -157,8 +157,9 @@ def _edge_chunks(edges, size: int = 2048):
 
 
 def _graph_json(g):
-    """`_dump(graph_json_obj(g))` as text chunks, with
-    edges from the CSR and words from one `dyck_words` stream."""
+    """`_dump(graph_json_obj(g))` as text chunks, with edges from the rows
+    of g, a FlipGraph or EdgeRows, and words from one `dyck_words`
+    stream."""
     yield f'{{\n  "edge_count": {g.edge_count},\n  "edges": '
     yield from _json_array(_edge_chunks(g.edges()), "  ")
     yield (f',\n  "mode": {json.dumps(g.mode)},\n  "n": {g.n},\n'
@@ -216,8 +217,11 @@ def cmd_enumerate(args) -> int:
 
 def cmd_graph(args) -> int:
     fmt = _pick_fmt(args, "json", ("json", "dot", "csv", "table"))
-    g = build_flip_graph(args.n, args.mode, threads=args.threads,
-                         mem_budget=args.mem_budget)
+    # the edge exports print each edge once, so they build each edge once;
+    # the table needs the full rows for its degrees and components
+    build = build_flip_graph if fmt == "table" else build_edge_rows
+    g = build(args.n, args.mode, threads=args.threads,
+              mem_budget=args.mem_budget)
     if fmt == "dot":
         _write(args.out, _lines(dot_lines(g)))
     elif fmt == "csv":

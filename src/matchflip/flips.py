@@ -74,15 +74,17 @@ def _span_lengths(n: int) -> tuple[int, ...]:
 
 
 def flip_cells(n: int, words: Iterable[tuple[str, int]],
-               centered_only: bool = False) -> Iterator[list[tuple]]:
+               centered_only: bool = False,
+               upward: bool = False) -> Iterator[list[tuple]]:
     """Every flip of each word in a stream of (balanced word, rank) pairs.
 
     Yields, per pair and in stream order, a list of (target rank,
     centered, a, b, c, d): (a, b) and (c, d), a < c, are the two chords
     that leave, as 1-based points.  Each word must be a balanced word of
     length 2n and each rank its rank; the stream may be in any order and
-    may repeat words.  centered_only drops the other flips.  A list is
-    unordered.  One word is a one-pair stream.
+    may repeat words.  centered_only drops the other flips, and upward
+    keeps only the flips to a higher rank.  A list is unordered.  One
+    word is a one-pair stream.
 
     Two chords span an empty quadrilateral exactly when they are parent
     and child or siblings in the nesting forest of the matching's chords
@@ -105,6 +107,15 @@ def flip_cells(n: int, words: Iterable[tuple[str, int]],
     and S+ splits into a part known when the first sibling closes and one
     known when the second opens: O(1) per flip.  The flip is centered iff
     the lengths of the four sides, looked up by span, sum to n - 2.
+
+    Words are ranked lexicographically with U < D, and both words agree
+    before p2, so a parent-child flip (U -> D at p2) always goes up in
+    rank and a sibling flip (D -> U at p2) always goes down; the two are
+    the same edge seen from its two ends.  Every edge of the flip graph
+    is therefore a parent-child flip at its lower end and a sibling flip
+    at its upper end, and upward emits it once, at the lower end.  The
+    siblings are still recorded, since they become the kids of the chord
+    that later closes around them.
 
     A flip is emitted at the D of its later chord and depends on the
     letters up to it only, and its delta does not depend on the rank, so
@@ -159,7 +170,7 @@ def flip_cells(n: int, words: Iterable[tuple[str, int]],
                     cells.append((delta, cen, j + 1, i + 1, p2 + 1, p3 + 1))
             siblings = stack[-1][4]
             opened = c[kj + 2] + su_j
-            for p1, p2, closed, _ in siblings:
+            for p1, p2, closed, _ in () if upward else siblings:
                 cen = (side + span[p2 - p1] + span[j - p2]
                        + span[i - p1]) == goal
                 if cen or not centered_only:

@@ -4,7 +4,9 @@ Vertices are the C_n non-crossing perfect matchings identified by their
 canonical rank; edges join matchings one flip apart.  mode="all" keeps
 every flip (with a per-edge centered flag), mode="centered" only the
 centered ones.  Storage is compact: one offsets array plus one flat sorted
-targets array, so neighbor lists are deterministic slices.
+targets array, so neighbor lists are deterministic slices.  EdgeRows keeps
+only each row's targets above it, each edge once, which is all the edge
+exports read.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ import os
 import random
 from array import array
 from collections import Counter
-from itertools import accumulate, chain, compress, cycle, islice, repeat, tee
-from operator import itemgetter, lt, sub
+from bisect import bisect_right
+from itertools import (accumulate, chain, compress, count, cycle, islice,
+                       repeat, tee)
+from operator import itemgetter, sub
 from typing import BinaryIO, Iterator, NamedTuple, NoReturn
 
 from .dyck import _symmetric, _weight, catalan, dyck_words, orbit_minima
@@ -31,14 +35,14 @@ _EXIT_NO_MEMORY = 3
 
 def _chunk_rows(args) -> tuple[array, array, bytes]:
     """Adjacency rows for ranks [start, stop): the row counts as an
-    array("i"), the sorted targets and the centered flags."""
-    n, mode, start, stop = args
-    centered_only = mode == "centered"
+    array("i"), the sorted targets and the centered flags; upward keeps
+    the targets above the row only."""
+    n, mode, start, stop, upward = args
     counts = array("i")
     targets = array("i")
     flags = bytearray()
     words = zip(dyck_words(n, start), range(start, stop))
-    for cells in flip_cells(n, words, centered_only):
+    for cells in flip_cells(n, words, mode == "centered", upward):
         cells.sort()
         counts.append(len(cells))
         targets.extend(map(_first, cells))
@@ -120,23 +124,18 @@ class FlipGraph:
     def degree(self, r: int) -> int:
         return self.offsets[r + 1] - self.offsets[r]
 
-    def degrees(self) -> list[int]:
-        off = self.offsets
-        return [off[i + 1] - off[i] for i in range(self.vertex_count)]
-
     def edges(self) -> Iterator[tuple[int, int, bool]]:
-        """(src, dst, centered) with src < dst, in lexicographic order.
-
-        One itertools pipeline over the arc ends: the source of every arc
-        is its row number repeated degree times, and the arcs kept are
-        those whose source is below their target.
-        """
+        """(src, dst, centered) with src < dst, in lexicographic order:
+        each sorted row from its first target above the row."""
         off, tg = self.offsets, self.targets
-        degrees = map(sub, islice(off, 1, None), off)
-        src, src2 = tee(chain.from_iterable(
-            map(repeat, range(self.vertex_count), degrees)))
-        return compress(zip(src, tg, map(bool, self.flags)),
-                        map(lt, src2, tg))
+        starts, starts2 = tee(map(bisect_right, repeat(tg),
+                                  range(self.vertex_count), off,
+                                  islice(off, 1, None)))
+        spans, spans2 = tee(map(slice, starts2, islice(off, 1, None)))
+        return _edges(map(sub, islice(off, 1, None), starts),
+                      chain.from_iterable(map(tg.__getitem__, spans)),
+                      chain.from_iterable(map(self.flags.__getitem__,
+                                              spans2)))
 
     def degree_summary(self) -> dict:
         off = self.offsets
@@ -175,6 +174,41 @@ class FlipGraph:
         return all((dist[a] - dist[b]) % 2 for a, b, _ in self.edges())
 
 
+class EdgeRows(NamedTuple):
+    """The upward half of a flip graph's rows: row r holds, sorted, the
+    targets above r with their centered flags, so each edge is stored
+    once, at its lower end.  It reads like a FlipGraph to the edge
+    exports (dot_lines, csv_lines, graph_json_obj)."""
+
+    n: int
+    mode: str
+    offsets: array
+    targets: array
+    flags: bytes
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.targets)
+
+    def edges(self) -> Iterator[tuple[int, int, bool]]:
+        """(src, dst, centered) with src < dst, in lexicographic order."""
+        off = self.offsets
+        return _edges(map(sub, islice(off, 1, None), off), self.targets,
+                      self.flags)
+
+
+def _edges(counts, targets, flags) -> Iterator[tuple[int, int, bool]]:
+    """(src, dst, centered) of the arcs kept from each row, in row order:
+    counts yields how many each row keeps, targets and flags the kept
+    arcs' targets and centered flags."""
+    return zip(chain.from_iterable(map(repeat, count(), counts)), targets,
+               map(bool, flags))
+
+
 def component_report(g: FlipGraph) -> list[dict]:
     """Structure of every component: size, tree test, symmetry, weights.
 
@@ -206,19 +240,39 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
                      mem_budget: int | None = None) -> FlipGraph:
     """Enumerate all matchings of size n and wire up their flips.
 
+    threads > 1 forks worker processes (see _build_rows); the result is
+    byte-identical for any thread count.  mem_budget (bytes) is checked
+    against a size estimate before any allocation.
+    """
+    return FlipGraph(n, mode, *_build_rows(n, mode, threads, mem_budget,
+                                           False))
+
+
+def build_edge_rows(n: int, mode: str = "all", threads: int = 1,
+                    mem_budget: int | None = None) -> EdgeRows:
+    """The upward rows of build_flip_graph's graph: each edge once, built
+    once, with half the arcs of the full rows in the kernel, the pipes
+    and the merge.  Byte-identical for any thread count; mem_budget is
+    checked against the full graph's estimate."""
+    return EdgeRows(n, mode, *_build_rows(n, mode, threads, mem_budget,
+                                          True))
+
+
+def _build_rows(n: int, mode: str, threads: int, mem_budget: int | None,
+                upward: bool) -> tuple[array, array, bytes]:
+    """Offsets, targets and flags of every row, or of the upward rows.
+
     threads > 1 cuts the ranks into chunks of at most _CHUNK_RANKS, at
     least 4 per worker, and forks that many workers; worker w builds
     chunks w, w + threads, ... and writes each chunk's row counts,
     targets and flags as raw bytes to its own pipe.  The parent reads the
-    chunks in rank order and appends them to the graph, and a full pipe
-    holds each worker about one chunk ahead, so besides the graph the
+    chunks in rank order and appends them to the rows, and a full pipe
+    holds each worker about one chunk ahead, so besides the rows the
     parent holds about one chunk.  However the build ends, the parent
     closes every pipe, kills the workers if it is unwinding from an
     error, and reaps them all; a worker's MemoryError is raised again as
     MemoryError, and any other worker failure or short read as
-    WorkerError, a RuntimeError.  The result is byte-identical for any
-    thread count.  mem_budget (bytes) is checked against a size estimate
-    before any allocation.
+    WorkerError, a RuntimeError.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -232,11 +286,10 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
             f"over the budget of {mem_budget}")
     v = catalan(n)
     if threads == 1 or v < 4 * threads:
-        counts, targets, flags = _chunk_rows((n, mode, 0, v))
-        offsets = array("q", accumulate(counts, initial=0))
-        return FlipGraph(n, mode, offsets, targets, flags)
+        counts, targets, flags = _chunk_rows((n, mode, 0, v, upward))
+        return array("q", accumulate(counts, initial=0)), targets, flags
     size = min(_CHUNK_RANKS, -(-v // (4 * threads)))
-    jobs = [(n, mode, s, min(s + size, v)) for s in range(0, v, size)]
+    jobs = [(n, mode, s, min(s + size, v), upward) for s in range(0, v, size)]
     offsets, targets, flags = array("q", [0]), array("i"), bytearray()
     pids, readers, done = [], [], False
     try:
@@ -248,7 +301,7 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
                     _worker(out, jobs[w::threads], readers)
             pids.append(pid)
         # job k comes from worker k mod threads
-        for (_, _, start, stop), src in zip(jobs, cycle(readers)):
+        for (_, _, start, stop, _), src in zip(jobs, cycle(readers)):
             counts = array("i", _read(src, 4 * (stop - start)))
             # a chunk's offsets go on from the last one, and its targets
             # and flags fill up to the new last offset
@@ -270,7 +323,7 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
         raise MemoryError("a graph build worker ran out of memory")
     if not done or any(codes):
         raise WorkerError(f"graph build workers exited with {codes}")
-    return FlipGraph(n, mode, offsets, targets, bytes(flags))
+    return offsets, targets, bytes(flags)
 
 
 def _bfs(g: FlipGraph, src: int, dist: array | list[int]) -> array:
@@ -421,7 +474,7 @@ def diameter(g: FlipGraph, exact_limit: int = 6000, samples: int = 32,
 _DOT_EDGE = ("  %d -- %d [style=dashed];", "  %d -- %d [style=solid];")
 
 
-def dot_lines(g: FlipGraph) -> Iterator[str]:
+def dot_lines(g: FlipGraph | EdgeRows) -> Iterator[str]:
     """Graphviz form; centered flips solid, other flips dashed."""
     yield f'graph "flips_n{g.n}_{g.mode}" {{'
     yield "  node [shape=box];"
@@ -431,12 +484,12 @@ def dot_lines(g: FlipGraph) -> Iterator[str]:
     yield "}"
 
 
-def csv_lines(g: FlipGraph) -> Iterator[str]:
+def csv_lines(g: FlipGraph | EdgeRows) -> Iterator[str]:
     return chain(("src_rank,dst_rank,centered",),
                  map("%d,%d,%d".__mod__, g.edges()))
 
 
-def graph_json_obj(g: FlipGraph) -> dict:
+def graph_json_obj(g: FlipGraph | EdgeRows) -> dict:
     return {
         "n": g.n,
         "mode": g.mode,

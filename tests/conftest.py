@@ -33,7 +33,7 @@ def _fault_on_job(monkeypatch, exc, fails):
     chunk_rows = graphs._chunk_rows
 
     def faulty(args):
-        if fails(*args[2:]):
+        if fails(*args[2:4]):
             raise exc
         return chunk_rows(args)
     monkeypatch.setattr(graphs, "_chunk_rows", faulty)

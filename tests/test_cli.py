@@ -16,7 +16,8 @@ from matchflip.cli import main
 from matchflip.counts import MEASURED, verify_counts
 from matchflip.dyck import enumerate_matchings, to_dyck
 from matchflip.flips import make_flip
-from matchflip.graphs import MODES, diameter, graph_json_obj
+from matchflip.graphs import (MODES, build_edge_rows, csv_lines, diameter,
+                              dot_lines, graph_json_obj)
 
 from conftest import _fault_on_job, cached_graph
 
@@ -441,9 +442,31 @@ def test_out_file_matches_stdout(tmp_path, capsys):
 @pytest.mark.parametrize("mode", MODES)
 def test_streamed_graph_json_matches_dump(n, mode):
     # n = 1 has no edges ("edges": []); n >= 8 is beyond the golden digests
+    rows = build_edge_rows(n, mode, threads=2 if n >= 10 else 1)
+    assert ("".join(cli._graph_json(rows))
+            == cli._dump(graph_json_obj(cached_graph(n, mode))))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("mode", MODES)
+def test_csv_and_dot_match_the_full_graph(capsys, n, mode):
+    # the exports read the upward rows; the full graph is the oracle
     g = cached_graph(n, mode)
-    assert ("".join(cli._graph_json(g))
-            == cli._dump(graph_json_obj(g)))
+    for fmt, lines in (("csv", csv_lines), ("dot", dot_lines)):
+        code, out, _ = run(capsys, "graph", "--n", str(n), "--mode", mode,
+                           "--format", fmt)
+        assert code == 0
+        assert out == "\n".join(lines(g)) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
+@pytest.mark.parametrize("mode", MODES)
+def test_edge_exports_are_the_same_for_any_thread_count(capsys, fmt, mode):
+    # n = 9 cuts its 4,862 ranks into several chunks per worker
+    outs = {run(capsys, "graph", "--n", "9", "--mode", mode, "--format", fmt,
+                "--threads", threads)
+            for threads in ("1", "2", "3")}
+    assert len(outs) == 1 and next(iter(outs))[0] == 0
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -503,6 +526,34 @@ def test_two_worker_build_peak_memory_matches_one_process():
         assert proc.returncode == 0
         peak_kib[threads] = int(proc.stderr.split()[-1])
     assert peak_kib["2"] <= peak_kib["1"] + 1024
+
+
+# VmHWM from just before main() to exit: what the command itself adds
+_PEAK_RISE = """
+import sys
+from matchflip.cli import main
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM"))
+before = hwm()
+code = main(sys.argv[1:])
+print(hwm() - before, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs /proc/self/status")
+def test_graph_json_holds_less_than_the_full_graph():
+    # the JSON export builds each edge once, so at n = 11 its whole rise
+    # stays below the full CSR: C_11 + 1 offsets and 994,840 arc ends
+    full_kib = (8 * (counts.catalan(11) + 1) + 5 * 994_840) / 1024
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RISE, "graph", "--n", "11", "--mode",
+         "all", "--threads", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0
+    assert int(proc.stderr.split()[-1]) < full_kib
 
 
 def test_output_is_deterministic(capsys):

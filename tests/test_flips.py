@@ -6,7 +6,8 @@ import pytest
 from matchflip import (Flip, Matching, apply_flip, diameter_chord,
                        flippable_pairs, is_centered, make_flip, replay)
 from matchflip.counts import catalan
-from matchflip.dyck import _unrank_word, enumerate_matchings, rank, unrank
+from matchflip.dyck import (_unrank_word, dyck_words, enumerate_matchings,
+                            rank, unrank)
 from matchflip.flips import _in_chords, flip_cells
 
 import oracles
@@ -175,3 +176,16 @@ def test_flip_stream_equals_one_word_streams(n, mode):
         alone = sorted(next(flip_cells(n, [(w, r)], centered_only)))
         assert sorted(cells) == alone, (w, r)
         assert [cell[0] for cell in alone] == list(g.neighbors(r))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("mode", ("all", "centered"))
+def test_upward_cells_are_the_flips_to_higher_ranks(n, mode):
+    # a parent-child flip goes up in rank and a sibling flip down, so the
+    # upward cells of each word are its full cells above its rank
+    words = list(zip(dyck_words(n), range(catalan(n))))
+    centered_only = mode == "centered"
+    full = flip_cells(n, words, centered_only)
+    up = flip_cells(n, words, centered_only, upward=True)
+    for (w, r), cells, upward in zip(words, full, up, strict=True):
+        assert sorted(upward) == sorted(c for c in cells if c[0] > r), w

@@ -16,8 +16,9 @@ from matchflip.dyck import (_unrank_word, enumerate_matchings, rank, to_dyck,
 from matchflip.errors import ResourceLimitError
 from matchflip.flips import is_centered
 from matchflip.graphs import (FlipGraph, _farthest, bfs_distances,
-                              build_flip_graph, component_report, csv_lines,
-                              diameter, dot_lines, graph_json_obj)
+                              build_edge_rows, build_flip_graph,
+                              component_report, csv_lines, diameter,
+                              dot_lines, graph_json_obj)
 
 import oracles
 from conftest import _fault_on_job, cached_graph, flip_neighbors
@@ -162,6 +163,27 @@ def test_threaded_build_is_byte_identical(n, mode, threads):
     assert a.flags == b.flags
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("mode", ["all", "centered"])
+def test_edge_rows_are_the_rows_above_the_diagonal(n, mode):
+    # every thread count gives the same arrays: the full rows cut to
+    # their targets above the row, each edge once
+    g = cached_graph(n, mode)
+    above = [[(s, f) for s, f in zip(g.neighbors(r), g.neighbor_flags(r))
+              if s > r] for r in range(g.vertex_count)]
+    edges = list(g.edges())
+    for threads in (1, 2, 3):
+        rows = build_edge_rows(n, mode, threads=threads)
+        assert (rows.n, rows.mode) == (n, mode)
+        assert (rows.offsets.itemsize, rows.targets.itemsize) == (8, 4)
+        assert rows.vertex_count == g.vertex_count
+        assert [list(zip(rows.targets[a:b], rows.flags[a:b])) for a, b
+                in zip(rows.offsets, rows.offsets[1:])] == above
+        assert rows.edge_count == g.edge_count
+        assert list(rows.edges()) == edges
+        assert all(type(cen) is bool for _, _, cen in rows.edges())
+
+
 # one failing job: the first (worker 0, whose partner is then killed
 # mid-build) or the last (worker 1, after worker 0 has finished)
 _JOBS = {"first": lambda start, stop: start == 0,
@@ -211,14 +233,15 @@ def test_degree_sum_and_maximum(n):
     # that of UDUD...UD, whose chords are pairwise flippable
     g = cached_graph(n, "all")
     assert 2 * g.edge_count * (n + 2) == catalan(n) * 2 * n * (n - 1)
-    assert max(g.degrees()) == g.degree(g.vertex_count - 1) == n * (n - 1) // 2
+    degs = [b - a for a, b in zip(g.offsets, g.offsets[1:])]
+    assert max(degs) == g.degree(g.vertex_count - 1) == n * (n - 1) // 2
     assert _unrank_word(n, g.vertex_count - 1) == "UD" * n
 
 
 def test_degree_summary_is_consistent():
     g = cached_graph(5, "centered")
     summary = g.degree_summary()
-    degs = g.degrees()
+    degs = [b - a for a, b in zip(g.offsets, g.offsets[1:])]
     assert summary["min"] == min(degs)
     assert summary["max"] == max(degs)
     assert summary["min_count"] == degs.count(summary["min"])

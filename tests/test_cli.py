@@ -676,6 +676,36 @@ def test_cli_output_is_pinned(capsys, command, n):
     assert _golden_digest(capsys, command, n) == _GOLDEN_DIGESTS[command, n]
 
 
+# Golden report output above the n <= 7 digests: the first 16 hex digits
+# of the sha256 of stdout, recorded before the report commands shared one
+# writer
+_REPORT_DIGESTS = {
+    "stats --n 8 --mode centered --format json": "31710defa0c4f9d4",
+    "stats --n 8 --mode centered --format table": "a02ffc452dc34aed",
+    "stats --n 8 --mode centered --format csv": "eb3ac87004daf64b",
+    "stats --n 10 --mode centered --format json": "29c285caefe434ab",
+    "stats --n 10 --mode centered --format table": "726c13d1cce56291",
+    "stats --n 10 --mode centered --format csv": "08b52b12fb1e9443",
+    "counts --n 12 --format json": "715e12fb05ce6300",
+    "counts --n 12 --format table": "5ccdd2dc3510f44f",
+    "counts --n 12 --format csv": "b83c99ba73137bf5",
+    "diameter --n 8 --mode all --format json": "1154f476b01944db",
+    "diameter --n 8 --mode all --format table": "10159baf262b43a9",
+    "verify --n 8 --format json": "db7812bc829e4ff4",
+    "verify --n 8 --format table": "bae5ab36e58d6d58",
+    "rainbow --n 6 --r 2 --format json": "c6a0af778d2b9d2d",
+    "rainbow --n 6 --r 2 --format table": "5af1ab7448ed843c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_REPORT_DIGESTS))
+def test_report_output_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()[:16]
+            == _REPORT_DIGESTS[argv])
+
+
 # the bounds path of diameter, which no CLI command reaches at n <= 7
 _BOUNDS = {s: (6, 12, (6, 0)) for s in range(4)}
 

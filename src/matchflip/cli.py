@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from itertools import chain, islice
 
@@ -41,14 +40,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("MATCHFLIP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, required=True, metavar="N",
@@ -59,9 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("json", "csv", "dot", "table"),
                         help="output format (default json; enumerate "
                              "defaults to one matching per line)")
-    common.add_argument("--threads", type=int, default=None,
+    common.add_argument("--threads", type=int, default=1,
                         help="worker processes for graph builds "
-                             "(default $MATCHFLIP_THREADS or 1)")
+                             "(default 1)")
     common.add_argument("--mem-budget", type=int, default=None,
                         metavar="BYTES", help="refuse graph builds that "
                         "would exceed this estimate")
@@ -157,9 +148,8 @@ def _edge_chunks(edges, size: int = 2048):
 
 
 def _graph_json(g):
-    """`_dump(graph_json_obj(g))` as text chunks, with edges from the rows
-    of g, a FlipGraph or EdgeRows, and words from one `dyck_words`
-    stream."""
+    """`_dump(graph_json_obj(g))` as text chunks, with edges from the
+    upward rows g (an EdgeRows) and words from one `dyck_words` stream."""
     yield f'{{\n  "edge_count": {g.edge_count},\n  "edges": '
     yield from _json_array(_edge_chunks(g.edges()), "  ")
     yield (f',\n  "mode": {json.dumps(g.mode)},\n  "n": {g.n},\n'
@@ -176,6 +166,14 @@ def _write(path, chunks) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+
+
+def _emit(args, fmt: str, obj, table, csv=()) -> None:
+    """Write a report: obj as JSON, or its table or csv lines."""
+    if fmt == "json":
+        _write(args.out, [_dump(obj)])
+    else:
+        _write(args.out, _lines(table if fmt == "table" else csv))
 
 
 def _pick_fmt(args, default: str, allowed: tuple[str, ...]) -> str:
@@ -245,30 +243,21 @@ def cmd_stats(args) -> int:
                          mem_budget=args.mem_budget)
     report = component_report(g)
     trees = sum(1 for c in report if c["is_tree"])
-    if fmt == "csv":
-        def gen():
-            yield "component,size,edges,is_tree,symmetric_count"
-            for i, c in enumerate(report):
-                yield (f"{i},{c['size']},{c['edges']},"
-                       f"{int(c['is_tree'])},{c['symmetric_count']}")
-        _write(args.out, _lines(gen()))
-        return EXIT_OK
     obj = {"n": g.n, "mode": g.mode, "vertices": g.vertex_count,
            "edges": g.edge_count, "degrees": g.degree_summary(),
            "component_count": len(report), "tree_component_count": trees,
            "components": report}
-    if fmt == "table":
-        lines = [f"n {g.n} mode {g.mode}",
-                 f"vertices {g.vertex_count} edges {g.edge_count}",
-                 f"{len(report)} components, {trees} trees"]
-        for i, c in enumerate(report):
-            kind = "tree" if c["is_tree"] else "cyclic"
-            lines.append(f"  component {i}: {c['size']} vertices, "
-                         f"{c['edges']} edges, {kind}, "
-                         f"{c['symmetric_count']} symmetric")
-        _write(args.out, _lines(lines))
-    else:
-        _write(args.out, [_dump(obj)])
+    table = [f"n {g.n} mode {g.mode}",
+             f"vertices {g.vertex_count} edges {g.edge_count}",
+             f"{len(report)} components, {trees} trees"]
+    table += [f"  component {i}: {c['size']} vertices, {c['edges']} edges, "
+              f"{'tree' if c['is_tree'] else 'cyclic'}, "
+              f"{c['symmetric_count']} symmetric"
+              for i, c in enumerate(report)]
+    csv = ["component,size,edges,is_tree,symmetric_count"]
+    csv += [f"{i},{c['size']},{c['edges']},{int(c['is_tree'])},"
+            f"{c['symmetric_count']}" for i, c in enumerate(report)]
+    _emit(args, fmt, obj, table, csv)
     return EXIT_OK
 
 
@@ -287,33 +276,23 @@ def cmd_diameter(args) -> int:
            "exact": res.exact, "diameter": res.value, "display": display,
            "lower": res.lower, "upper": res.upper,
            "witness": list(res.witness) if res.witness else None}
-    if fmt == "table":
-        _write(args.out, _lines([display]))
-    else:
-        _write(args.out, [_dump(obj)])
+    _emit(args, fmt, obj, [display])
     return EXIT_OK
 
 
 def cmd_counts(args) -> int:
     fmt = _pick_fmt(args, "json", ("json", "table", "csv"))
     obj = predicted_extremes(args.n)
-    if fmt == "json":
-        _write(args.out, [_dump(obj)])
-        return EXIT_OK
-
-    def flat():
-        for key in sorted(obj):
-            val = obj[key]
-            if isinstance(val, dict):
-                for sub in sorted(val, key=int):
-                    yield f"{key}[{sub}]", val[sub]
-            else:
-                yield key, val
-    if fmt == "csv":
-        _write(args.out, _lines(["name,value"]
-                                + [f"{k},{v}" for k, v in flat()]))
-    else:
-        _write(args.out, _lines([f"{k} {v}" for k, v in flat()]))
+    flat = []
+    for key in sorted(obj):
+        val = obj[key]
+        if isinstance(val, dict):
+            flat += [(f"{key}[{sub}]", val[sub])
+                     for sub in sorted(val, key=int)]
+        else:
+            flat.append((key, val))
+    _emit(args, fmt, obj, [f"{k} {v}" for k, v in flat],
+          ["name,value"] + [f"{k},{v}" for k, v in flat])
     return EXIT_OK
 
 
@@ -331,25 +310,19 @@ def cmd_rainbow(args) -> int:
                        "in": [list(f.in1), list(f.in2)]}
                       for f in res.cycle]
                      if res.cycle is not None else None)}
-    if fmt == "table":
-        lines = [f"status {res.status}"]
-        if res.reason:
-            lines.append(f"reason {res.reason}")
-        if res.cycle is not None:
-            lines.append(f"length {len(res.cycle)}")
-        _write(args.out, _lines(lines))
-    else:
-        _write(args.out, [_dump(obj)])
+    table = [f"status {res.status}"]
+    if res.reason:
+        table.append(f"reason {res.reason}")
+    if res.cycle is not None:
+        table.append(f"length {len(res.cycle)}")
+    _emit(args, fmt, obj, table)
     return EXIT_BUDGET if res.status == "budget" else EXIT_OK
 
 
 def cmd_verify(args) -> int:
     fmt = _pick_fmt(args, "json", ("json", "table"))
     report = verify_counts(args.n, args.threads, args.mem_budget)
-    if fmt == "table":
-        _write(args.out, _lines(report.table_lines()))
-    else:
-        _write(args.out, [_dump(report.as_json_obj())])
+    _emit(args, fmt, report.as_json_obj(), report.table_lines())
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
@@ -364,8 +337,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.n < 2:
         parser.error(f"--n must be at least 2 (got {args.n})")
-    if args.threads is None:
-        args.threads = _default_threads()
     if args.threads < 1:
         parser.error("--threads must be >= 1")
     if args.search_budget < 1:

@@ -68,9 +68,8 @@ def _centered(n: int, e: Chord, f: Chord, in1: Chord, in2: Chord) -> bool:
 
 @lru_cache(maxsize=None)
 def _span_lengths(n: int) -> tuple[int, ...]:
-    # chord_length by span b - a, for spans 1..2n-1
-    return (0,) + tuple(min(s - 1, 2 * n - s - 1) // 2
-                        for s in range(1, 2 * n))
+    # chord_length by span b - a, for spans 1..2n-1; span 0 is no chord
+    return (0,) + tuple(chord_length(n, (0, s)) for s in range(1, 2 * n))
 
 
 def flip_cells(n: int, words: Iterable[tuple[str, int]],

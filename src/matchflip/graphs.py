@@ -4,9 +4,10 @@ Vertices are the C_n non-crossing perfect matchings identified by their
 canonical rank; edges join matchings one flip apart.  mode="all" keeps
 every flip (with a per-edge centered flag), mode="centered" only the
 centered ones.  Storage is compact: one offsets array plus one flat sorted
-targets array, so neighbor lists are deterministic slices.  EdgeRows keeps
-only each row's targets above it, each edge once, which is all the edge
-exports read.
+targets array, so neighbor lists are deterministic slices.  FlipGraph
+holds both ends of every edge, which the analyses walk; EdgeRows, a tuple
+of the same five fields, keeps only each row's targets above it, each
+edge once, and is all the edge exports read.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import os
 import random
 from array import array
 from collections import Counter
-from bisect import bisect_right
-from itertools import (accumulate, chain, compress, count, cycle, islice,
-                       repeat, tee)
+from itertools import accumulate, chain, compress, count, cycle, islice, repeat
 from operator import itemgetter, sub
 from typing import BinaryIO, Iterator, NamedTuple, NoReturn
 
@@ -90,18 +89,15 @@ def _estimate_bytes(n: int) -> int:
     return 8 * (v + 1) + 5 * 2 * n * v
 
 
-class FlipGraph:
-    """Immutable flip graph in compressed sparse row form."""
+class FlipGraph(NamedTuple):
+    """Immutable flip graph in compressed sparse row form: row r holds,
+    sorted, every neighbour of r, with its centered flag."""
 
-    __slots__ = ("n", "mode", "offsets", "targets", "flags")
-
-    def __init__(self, n: int, mode: str, offsets: array, targets: array,
-                 flags: bytes):
-        self.n = n
-        self.mode = mode
-        self.offsets = offsets
-        self.targets = targets
-        self.flags = flags
+    n: int
+    mode: str
+    offsets: array
+    targets: array
+    flags: bytes
 
     @property
     def vertex_count(self) -> int:
@@ -123,19 +119,6 @@ class FlipGraph:
 
     def degree(self, r: int) -> int:
         return self.offsets[r + 1] - self.offsets[r]
-
-    def edges(self) -> Iterator[tuple[int, int, bool]]:
-        """(src, dst, centered) with src < dst, in lexicographic order:
-        each sorted row from its first target above the row."""
-        off, tg = self.offsets, self.targets
-        starts, starts2 = tee(map(bisect_right, repeat(tg),
-                                  range(self.vertex_count), off,
-                                  islice(off, 1, None)))
-        spans, spans2 = tee(map(slice, starts2, islice(off, 1, None)))
-        return _edges(map(sub, islice(off, 1, None), starts),
-                      chain.from_iterable(map(tg.__getitem__, spans)),
-                      chain.from_iterable(map(self.flags.__getitem__,
-                                              spans2)))
 
     def degree_summary(self) -> dict:
         off = self.offsets
@@ -171,14 +154,16 @@ class FlipGraph:
         for s in range(self.vertex_count):
             if dist[s] < 0:
                 _bfs(self, s, dist)
-        return all((dist[a] - dist[b]) % 2 for a, b, _ in self.edges())
+        off, tg = self.offsets, self.targets
+        return all((dx - dist[y]) % 2 for x, dx in enumerate(dist)
+                   for y in tg[off[x]:off[x + 1]])
 
 
 class EdgeRows(NamedTuple):
     """The upward half of a flip graph's rows: row r holds, sorted, the
     targets above r with their centered flags, so each edge is stored
-    once, at its lower end.  It reads like a FlipGraph to the edge
-    exports (dot_lines, csv_lines, graph_json_obj)."""
+    once, at its lower end.  The edge exports (dot_lines, csv_lines,
+    graph_json_obj) read it, and nothing else lists edges."""
 
     n: int
     mode: str
@@ -195,18 +180,13 @@ class EdgeRows(NamedTuple):
         return len(self.targets)
 
     def edges(self) -> Iterator[tuple[int, int, bool]]:
-        """(src, dst, centered) with src < dst, in lexicographic order."""
+        """(src, dst, centered) with src < dst, in lexicographic order:
+        each row number repeated by its row's length, zipped with the
+        row's targets and flags."""
         off = self.offsets
-        return _edges(map(sub, islice(off, 1, None), off), self.targets,
-                      self.flags)
-
-
-def _edges(counts, targets, flags) -> Iterator[tuple[int, int, bool]]:
-    """(src, dst, centered) of the arcs kept from each row, in row order:
-    counts yields how many each row keeps, targets and flags the kept
-    arcs' targets and centered flags."""
-    return zip(chain.from_iterable(map(repeat, count(), counts)), targets,
-               map(bool, flags))
+        lengths = map(sub, islice(off, 1, None), off)
+        return zip(chain.from_iterable(map(repeat, count(), lengths)),
+                   self.targets, map(bool, self.flags))
 
 
 def component_report(g: FlipGraph) -> list[dict]:
@@ -474,7 +454,7 @@ def diameter(g: FlipGraph, exact_limit: int = 6000, samples: int = 32,
 _DOT_EDGE = ("  %d -- %d [style=dashed];", "  %d -- %d [style=solid];")
 
 
-def dot_lines(g: FlipGraph | EdgeRows) -> Iterator[str]:
+def dot_lines(g: EdgeRows) -> Iterator[str]:
     """Graphviz form; centered flips solid, other flips dashed."""
     yield f'graph "flips_n{g.n}_{g.mode}" {{'
     yield "  node [shape=box];"
@@ -484,12 +464,12 @@ def dot_lines(g: FlipGraph | EdgeRows) -> Iterator[str]:
     yield "}"
 
 
-def csv_lines(g: FlipGraph | EdgeRows) -> Iterator[str]:
+def csv_lines(g: EdgeRows) -> Iterator[str]:
     return chain(("src_rank,dst_rank,centered",),
                  map("%d,%d,%d".__mod__, g.edges()))
 
 
-def graph_json_obj(g: FlipGraph | EdgeRows) -> dict:
+def graph_json_obj(g: EdgeRows) -> dict:
     return {
         "n": g.n,
         "mode": g.mode,

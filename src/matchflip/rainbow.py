@@ -18,7 +18,7 @@ from .counts import narayana
 from .dyck import _unrank_word, orbit_minima, unrank
 from .errors import VerificationError
 from .flips import Flip, _flip, _in_chords, flip_cells, make_flip
-from .graphs import FlipGraph, build_flip_graph
+from .graphs import build_flip_graph
 
 
 @lru_cache(maxsize=None)
@@ -176,8 +176,7 @@ class _Search:
 
 
 def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,
-                       force_search: bool = False,
-                       graph: FlipGraph | None = None, threads: int = 1,
+                       force_search: bool = False, threads: int = 1,
                        mem_budget: int | None = None) -> RainbowResult:
     """Search for an r-rainbow cycle on 2n points.
 
@@ -185,10 +184,10 @@ def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,
     reason field) or an exhausted search of every big-enough component.
     For odd n the averaging certificate answers immediately unless
     force_search asks for the explicit search.  Budget counts node
-    expansions; running out gives status "budget", never "none".  Unless
-    graph is given, the centered graph is built with threads and
-    mem_budget, as build_flip_graph takes them, and only once no
-    certificate has answered.
+    expansions; running out gives status "budget", never "none".  The
+    centered graph is built with threads and mem_budget, as
+    build_flip_graph takes them, and only once no certificate has
+    answered.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -209,10 +208,7 @@ def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,
             n, r, "none", "threshold",
             {"threshold": nonexistence_bound(n),
              "max_component_bound": narayana(1, n, n // 2)})
-    g = graph if graph is not None else build_flip_graph(
-        n, "centered", threads, mem_budget)
-    if g.n != n or g.mode != "centered":
-        raise ValueError("graph must be the centered flip graph for this n")
+    g = build_flip_graph(n, "centered", threads, mem_budget)
     searcher = _Search(n, r, length, budget)
     searched_any = False
     comps = g.components()

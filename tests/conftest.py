@@ -1,11 +1,14 @@
-"""Shared fixtures: a session-wide flip-graph cache, a build-worker fault
-injector and the acceptance criterion recorder that prints one PASS/FAIL
-line per criterion."""
+"""Shared fixtures: a session-wide flip-graph cache, its edges from the
+nested-loop oracle, a build-worker fault injector and the acceptance
+criterion recorder that prints one PASS/FAIL line per criterion."""
 
 from __future__ import annotations
 
 import contextlib
+from array import array
+from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 
@@ -13,11 +16,33 @@ from matchflip import (apply_flip, build_flip_graph, flippable_pairs,
                        is_centered)
 from matchflip import graphs
 
+import oracles
+
 
 @lru_cache(maxsize=None)
 def cached_graph(n: int, mode: str):
     # big builds share workers; smaller ones are cheaper single-threaded
     return build_flip_graph(n, mode, threads=4 if n >= 10 else 1)
+
+
+def full_edges(g) -> list:
+    """(src, dst, centered) of every edge of the flip graph g, src < dst,
+    from the nested loop over its full rows."""
+    return oracles.csr_edges(g.offsets, g.targets, g.flags)
+
+
+@lru_cache(maxsize=None)
+def oracle_edge_rows(n: int, mode: str) -> graphs.EdgeRows:
+    """EdgeRows of cached_graph(n, mode) rebuilt from full_edges: the
+    reference that the edge exports are checked against."""
+    g = cached_graph(n, mode)
+    edges = full_edges(g)
+    per_row = Counter(r for r, _, _ in edges)
+    offsets = accumulate(map(per_row.__getitem__, range(g.vertex_count)),
+                         initial=0)
+    return graphs.EdgeRows(n, mode, array("q", offsets),
+                           array("i", [s for _, s, _ in edges]),
+                           bytes(cen for _, _, cen in edges))
 
 
 def flip_neighbors(m, mode: str = "all"):

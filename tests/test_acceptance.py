@@ -26,7 +26,7 @@ from matchflip.graphs import diameter
 from matchflip.rainbow import (find_rainbow_cycle, nonexistence_bound,
                                verify_rainbow)
 
-from conftest import cached_graph, criterion
+from conftest import cached_graph, criterion, full_edges
 from oracles import oracle_centered
 
 
@@ -149,7 +149,7 @@ def test_criterion_07_weights():
             for w in ws:
                 assert -(n - 2) <= w <= n - 2
                 hist[w] = hist.get(w, 0) + 1
-            for r, s, _ in h.edges():
+            for r, s, _ in full_edges(h):
                 assert abs(ws[r] - ws[s]) == n - 2
             for r in range(h.vertex_count):
                 nb = h.neighbors(r)
@@ -234,7 +234,7 @@ def test_criterion_08_bijections():
 
 def test_criterion_09_rainbow():
     with criterion(9, "rainbow cycles: hits, exhaustive misses, thresholds"):
-        res4 = find_rainbow_cycle(4, 1, graph=cached_graph(4, "centered"))
+        res4 = find_rainbow_cycle(4, 1)
         assert res4.status == "found" and res4.length == 8
         ok, why = verify_rainbow(4, 1, res4.start, res4.cycle)
         assert ok, why
@@ -243,10 +243,10 @@ def test_criterion_09_rainbow():
             assert res.status == "none" and res.reason == "average-length"
             forced = find_rainbow_cycle(n, 1, force_search=True)
             assert forced.status == "none" and forced.reason == "parity"
-        res6 = find_rainbow_cycle(6, 1, graph=cached_graph(6, "centered"))
+        res6 = find_rainbow_cycle(6, 1)
         assert res6.status == "none" and res6.reason == "exhausted"
         t0 = time.perf_counter()
-        res62 = find_rainbow_cycle(6, 2, graph=cached_graph(6, "centered"))
+        res62 = find_rainbow_cycle(6, 2)
         assert time.perf_counter() - t0 < 3600.0
         assert res62.status == "found" and res62.length == 36
         ok, why = verify_rainbow(6, 2, res62.start, res62.cycle)

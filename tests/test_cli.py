@@ -19,7 +19,7 @@ from matchflip.flips import make_flip
 from matchflip.graphs import (MODES, build_edge_rows, csv_lines, diameter,
                               dot_lines, graph_json_obj)
 
-from conftest import _fault_on_job, cached_graph
+from conftest import _fault_on_job, cached_graph, oracle_edge_rows
 
 
 def run(capsys, *argv):
@@ -444,14 +444,15 @@ def test_streamed_graph_json_matches_dump(n, mode):
     # n = 1 has no edges ("edges": []); n >= 8 is beyond the golden digests
     rows = build_edge_rows(n, mode, threads=2 if n >= 10 else 1)
     assert ("".join(cli._graph_json(rows))
-            == cli._dump(graph_json_obj(cached_graph(n, mode))))
+            == cli._dump(graph_json_obj(oracle_edge_rows(n, mode))))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("mode", MODES)
 def test_csv_and_dot_match_the_full_graph(capsys, n, mode):
-    # the exports read the upward rows; the full graph is the oracle
-    g = cached_graph(n, mode)
+    # the exports read the upward rows; the full graph's edges are the
+    # oracle
+    g = oracle_edge_rows(n, mode)
     for fmt, lines in (("csv", csv_lines), ("dot", dot_lines)):
         code, out, _ = run(capsys, "graph", "--n", str(n), "--mode", mode,
                            "--format", fmt)
@@ -562,16 +563,10 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_threads_do_not_change_output(capsys, monkeypatch):
+def test_threads_do_not_change_output(capsys):
     _, base, _ = run(capsys, "graph", "--n", "5")
     _, threaded, _ = run(capsys, "graph", "--n", "5", "--threads", "2")
     assert base == threaded
-    monkeypatch.setenv("MATCHFLIP_THREADS", "3")
-    _, env_threaded, _ = run(capsys, "graph", "--n", "5")
-    assert base == env_threaded
-    monkeypatch.setenv("MATCHFLIP_THREADS", "junk")
-    _, fallback, _ = run(capsys, "graph", "--n", "5")
-    assert base == fallback
     # verify passes --threads to its graph builds
     _, base, _ = run(capsys, "verify", "--n", "9", "--threads", "1")
     _, threaded, _ = run(capsys, "verify", "--n", "9", "--threads", "2")

@@ -15,13 +15,13 @@ from matchflip.dyck import (_unrank_word, enumerate_matchings, rank, to_dyck,
                             unrank)
 from matchflip.errors import ResourceLimitError
 from matchflip.flips import is_centered
-from matchflip.graphs import (FlipGraph, _farthest, bfs_distances,
+from matchflip.graphs import (EdgeRows, FlipGraph, _farthest, bfs_distances,
                               build_edge_rows, build_flip_graph,
                               component_report, csv_lines, diameter,
                               dot_lines, graph_json_obj)
 
 import oracles
-from conftest import _fault_on_job, cached_graph, flip_neighbors
+from conftest import _fault_on_job, cached_graph, flip_neighbors, full_edges
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -114,12 +114,12 @@ def test_symmetric_adjacency_with_matching_flags(n):
 def test_centered_mode_is_the_flagged_subgraph(n):
     g = cached_graph(n, "all")
     h = cached_graph(n, "centered")
-    kept = {(min(r, s), max(r, s)) for r, s, cen in g.edges() if cen}
-    assert {(r, s) for r, s, cen in h.edges()} == kept
-    assert all(cen for _, _, cen in h.edges())
+    kept = {(r, s) for r, s, cen in full_edges(g) if cen}
+    assert {(r, s) for r, s, cen in full_edges(h)} == kept
+    assert all(cen for _, _, cen in full_edges(h))
     assert g.centered_edge_count == len(kept) == h.edge_count
     # flags agree with the flip predicate itself
-    for r, s, cen in g.edges():
+    for r, s, cen in full_edges(g):
         m = unrank(n, r)
         moved = sorted(set(m.pairs) ^ set(unrank(n, s).pairs))
         e, f = [c for c in moved if c in m]
@@ -171,7 +171,6 @@ def test_edge_rows_are_the_rows_above_the_diagonal(n, mode):
     g = cached_graph(n, mode)
     above = [[(s, f) for s, f in zip(g.neighbors(r), g.neighbor_flags(r))
               if s > r] for r in range(g.vertex_count)]
-    edges = list(g.edges())
     for threads in (1, 2, 3):
         rows = build_edge_rows(n, mode, threads=threads)
         assert (rows.n, rows.mode) == (n, mode)
@@ -180,8 +179,6 @@ def test_edge_rows_are_the_rows_above_the_diagonal(n, mode):
         assert [list(zip(rows.targets[a:b], rows.flags[a:b])) for a, b
                 in zip(rows.offsets, rows.offsets[1:])] == above
         assert rows.edge_count == g.edge_count
-        assert list(rows.edges()) == edges
-        assert all(type(cen) is bool for _, _, cen in rows.edges())
 
 
 # one failing job: the first (worker 0, whose partner is then killed
@@ -397,7 +394,7 @@ def test_analysis_matches_networkx(n, mode):
     g = cached_graph(n, mode)
     ng = nx.Graph()
     ng.add_nodes_from(range(g.vertex_count))
-    ng.add_edges_from((r, s) for r, s, _ in g.edges())
+    ng.add_edges_from((r, s) for r, s, _ in full_edges(g))
     comps = sorted((sorted(c) for c in nx.connected_components(ng)),
                    key=lambda c: (-len(c), c[0]))
     assert g.components() == comps
@@ -507,34 +504,38 @@ def test_bipartite_rejects_odd_cycle():
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("mode", ["all", "centered"])
 def test_edges_equal_nested_loop_oracle(n, mode):
-    g = cached_graph(n, mode)
-    got = list(g.edges())
-    assert got == oracles.csr_edges(g.offsets, g.targets, g.flags)
+    # the one edge lister, on the upward rows, against the nested loop
+    # over the full rows
+    got = list(build_edge_rows(n, mode).edges())
+    assert got == full_edges(cached_graph(n, mode))
     assert all(type(cen) is bool for _, _, cen in got)
 
 
-@pytest.mark.parametrize("offsets, targets, flags", [
+# each case: a full CSR, for the oracle, and its rows cut to the targets
+# above the row, which EdgeRows holds
+@pytest.mark.parametrize("full, upward", [
     pytest.param(
-        [0, 2, 4, 6], [1, 2, 0, 2, 0, 1], bytes([1, 0, 1, 0, 0, 0]),
-        id="triangle"),
+        ([0, 2, 4, 6], [1, 2, 0, 2, 0, 1], bytes([1, 0, 1, 0, 0, 0])),
+        ([0, 2, 3, 3], [1, 2, 2], bytes([1, 0, 0])), id="triangle"),
     # rows 0 and 3 empty, a path 1 - 2 - 4 and a loop at 4, which is no
-    # edge: src < dst does not hold
+    # edge: src < dst does not hold, and no row keeps it above the row
     pytest.param(
-        [0, 0, 1, 3, 3, 5], [2, 1, 4, 2, 4], bytes([1, 1, 0, 0, 1]),
+        ([0, 0, 1, 3, 3, 5], [2, 1, 4, 2, 4], bytes([1, 1, 0, 0, 1])),
+        ([0, 0, 1, 2, 2, 2], [2, 4], bytes([1, 0])),
         id="empty-rows-and-loop"),
 ])
-def test_edges_equal_nested_loop_oracle_on_small_csr(offsets, targets,
-                                                     flags):
-    g = FlipGraph(1, "all", array("q", offsets), array("i", targets), flags)
-    got = list(g.edges())
-    assert got == oracles.csr_edges(g.offsets, g.targets, g.flags)
+def test_edges_equal_nested_loop_oracle_on_small_csr(full, upward):
+    offsets, targets, flags = upward
+    rows = EdgeRows(1, "all", array("q", offsets), array("i", targets), flags)
+    got = list(rows.edges())
+    assert got == oracles.csr_edges(*full)
     assert all(type(cen) is bool for _, _, cen in got)
-    assert len(got) == g.edge_count
+    assert len(got) == rows.edge_count
 
 
 def test_dot_output_shape():
     g = cached_graph(3, "all")
-    lines = list(dot_lines(g))
+    lines = list(dot_lines(build_edge_rows(3, "all")))
     assert lines[0].startswith("graph ") and lines[-1] == "}"
     labels = [ln for ln in lines if "label=" in ln]
     assert len(labels) == g.vertex_count
@@ -547,16 +548,16 @@ def test_dot_output_shape():
 
 def test_csv_round_trips_edges():
     g = cached_graph(4, "all")
-    lines = list(csv_lines(g))
+    lines = list(csv_lines(build_edge_rows(4, "all")))
     assert lines[0] == "src_rank,dst_rank,centered"
     parsed = [tuple(int(x) for x in ln.split(",")) for ln in lines[1:]]
-    assert parsed == [(r, s, int(c)) for r, s, c in g.edges()]
+    assert parsed == [(r, s, int(c)) for r, s, c in full_edges(g)]
     assert len(parsed) == g.edge_count
 
 
 def test_json_obj_fields():
     g = cached_graph(3, "centered")
-    obj = graph_json_obj(g)
+    obj = graph_json_obj(build_edge_rows(3, "centered"))
     assert obj["n"] == 3 and obj["mode"] == "centered"
     assert obj["vertex_count"] == 5
     assert len(obj["edges"]) == obj["edge_count"] == g.edge_count

@@ -11,7 +11,6 @@ from matchflip.cli import EXIT_MISMATCH, main
 from matchflip.dyck import rank, unrank
 from matchflip.errors import VerificationError
 from matchflip.flips import Flip, make_flip
-from matchflip.graphs import build_flip_graph
 from matchflip.rainbow import (admissible_chords, find_rainbow_cycle,
                                nonexistence_bound, odd_average_certificate,
                                verify_rainbow)
@@ -68,7 +67,7 @@ def test_smallest_instance_has_no_cycle_at_all():
 
 
 def test_found_single_visit_cycle():
-    res = find_rainbow_cycle(4, 1, graph=cached_graph(4, "centered"))
+    res = find_rainbow_cycle(4, 1)
     assert res.status == "found"
     assert res.length == 8
     assert len(res.cycle) == 8
@@ -78,7 +77,7 @@ def test_found_single_visit_cycle():
 
 
 def test_found_double_visit_cycle():
-    res = find_rainbow_cycle(6, 2, graph=cached_graph(6, "centered"))
+    res = find_rainbow_cycle(6, 2)
     assert res.status == "found"
     assert res.length == 36
     ok, why = verify_rainbow(6, 2, res.start, res.cycle)
@@ -95,19 +94,18 @@ def test_failed_replay_of_found_cycle_raises(monkeypatch, capsys):
 
 
 def test_exhaustive_none_even():
-    res = find_rainbow_cycle(6, 1, graph=cached_graph(6, "centered"))
+    res = find_rainbow_cycle(6, 1)
     assert res.status == "none" and res.reason == "exhausted"
     assert res.certificate is None
     assert res.expanded == 1202
     # the golden CLI digests stop at n = 7
-    res8 = find_rainbow_cycle(8, 1, graph=cached_graph(8, "centered"))
+    res8 = find_rainbow_cycle(8, 1)
     assert (res8.status, res8.reason) == ("none", "exhausted")
     assert res8.expanded == 372755
 
 
 def test_exhaustive_none_odd_forced():
-    res = find_rainbow_cycle(5, 2, force_search=True,
-                             graph=cached_graph(5, "centered"))
+    res = find_rainbow_cycle(5, 2, force_search=True)
     assert res.status == "none" and res.reason == "exhausted"
 
 
@@ -131,7 +129,7 @@ def test_threshold_certificates():
 
 def test_component_size_rules_out_long_cycles():
     # 3 visits of 36 chords needs 54 flips but the largest piece has 48
-    res = find_rainbow_cycle(6, 3, graph=cached_graph(6, "centered"))
+    res = find_rainbow_cycle(6, 3)
     assert res.status == "none" and res.reason == "component-size"
     assert res.certificate == {"required_length": 54,
                                "largest_cyclic_component": 48}
@@ -141,13 +139,11 @@ def test_component_size_rules_out_long_cycles():
 
 
 def test_budget_interrupts_search():
-    res = find_rainbow_cycle(6, 2, budget=50,
-                             graph=cached_graph(6, "centered"))
+    res = find_rainbow_cycle(6, 2, budget=50)
     assert res.status == "budget"
     assert res.reason is None
     assert res.expanded == 50
-    res8 = find_rainbow_cycle(8, 2, budget=20000,
-                              graph=cached_graph(8, "centered"))
+    res8 = find_rainbow_cycle(8, 2, budget=20000)
     assert res8.status == "budget" and res8.expanded == 20000
 
 
@@ -180,14 +176,10 @@ def test_rejects_bad_arguments():
         find_rainbow_cycle(4, 0)
     with pytest.raises(ValueError):
         find_rainbow_cycle(4, 1, budget=0)
-    with pytest.raises(ValueError):
-        find_rainbow_cycle(4, 1, graph=cached_graph(4, "all"))
-    with pytest.raises(ValueError):
-        find_rainbow_cycle(4, 1, graph=cached_graph(6, "centered"))
 
 
 def test_verifier_rejects_corrupted_cycles():
-    res = find_rainbow_cycle(4, 1, graph=cached_graph(4, "centered"))
+    res = find_rainbow_cycle(4, 1)
     flips = list(res.cycle)
     assert verify_rainbow(4, 1, res.start, flips[:-1])[0] is False
     assert verify_rainbow(4, 2, res.start, flips)[0] is False
@@ -206,15 +198,6 @@ def test_verifier_rejects_corrupted_cycles():
     # starting elsewhere breaks closure
     other = unrank(4, (rank(res.start) + 1) % 14)
     assert verify_rainbow(4, 1, other, flips)[0] is False
-
-
-def test_graph_reuse_matches_fresh_build():
-    fresh = find_rainbow_cycle(4, 1)
-    reused = find_rainbow_cycle(4, 1, graph=build_flip_graph(4, "centered"))
-    assert fresh.status == reused.status == "found"
-    assert fresh.start == reused.start
-    assert fresh.cycle == reused.cycle
-    assert fresh.expanded == reused.expanded
 
 
 @pytest.mark.parametrize("n, r, force", [(6, 2, False), (5, 2, True)])

@@ -690,6 +690,16 @@ _REPORT_DIGESTS = {
     "verify --n 8 --format table": "bae5ab36e58d6d58",
     "rainbow --n 6 --r 2 --format json": "c6a0af778d2b9d2d",
     "rainbow --n 6 --r 2 --format table": "5af1ab7448ed843c",
+    # recorded before degrees and components were read from one
+    # union-find pass instead of the full graph
+    "stats --n 9 --mode all --format json": "cba8497c2d8a584a",
+    "stats --n 9 --mode all --format table": "1a2feb3d67e14e3e",
+    "stats --n 9 --mode all --format csv": "e5ebc777182f3d9e",
+    "stats --n 11 --mode centered --threads 2 --format json":
+        "6b6a8e7074b02c50",
+    "graph --n 9 --mode all --format table": "6ab6c03d06fb1f51",
+    "graph --n 9 --mode centered --format table": "c2c6ade2ac37b449",
+    "rainbow --n 8 --r 1 --format json": "a85774d1f14b23a0",
 }
 
 

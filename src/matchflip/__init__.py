@@ -23,9 +23,9 @@ from .dyck import (band_weight, bits_to_symmetric, dyck_words,
 from .errors import ResourceLimitError, VerificationError
 from .flips import (Flip, apply_flip, flippable_pairs, is_centered,
                     make_flip, replay)
-from .graphs import (DiameterResult, FlipGraph, bfs_distances,
-                     build_flip_graph, component_report, csv_lines, diameter,
-                     dot_lines, graph_json_obj)
+from .graphs import (Census, DiameterResult, FlipGraph, bfs_distances,
+                     build_flip_graph, component_census, component_report,
+                     csv_lines, diameter, dot_lines, graph_json_obj)
 from .rainbow import (RainbowResult, admissible_chords, find_rainbow_cycle,
                       nonexistence_bound, odd_average_certificate,
                       verify_rainbow)
@@ -33,14 +33,14 @@ from .rainbow import (RainbowResult, admissible_chords, find_rainbow_cycle,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chord", "CountReport", "CountRow", "DiameterResult", "Flip",
+    "Census", "Chord", "CountReport", "CountRow", "DiameterResult", "Flip",
     "FlipGraph", "Matching", "RainbowResult", "ResourceLimitError",
     "VerificationError", "admissible_chords", "apply_flip", "band_weight",
     "bfs_distances", "bits_to_symmetric", "build_flip_graph",
     "canonical_flip_sequence", "catalan", "chord_length", "chord_sign",
-    "class_partition_size", "component_report", "component_size_fraction",
-    "csv_lines", "diameter", "diameter_chord", "dot_lines", "dyck_words",
-    "enumerate_matchings", "find_rainbow_cycle", "flippable_pairs",
+    "class_partition_size", "component_census", "component_report",
+    "component_size_fraction", "csv_lines", "diameter", "diameter_chord",
+    "dot_lines", "dyck_words", "enumerate_matchings", "find_rainbow_cycle", "flippable_pairs",
     "from_dyck", "graph_json_obj", "hidden_behind", "is_centered",
     "is_centrally_symmetric", "make_chord", "make_flip", "max_length",
     "narayana", "nonexistence_bound",

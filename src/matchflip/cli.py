@@ -19,7 +19,8 @@ from .counts import predicted_extremes, verify_counts
 from .dyck import dyck_words, enumerate_matchings, to_dyck
 from .errors import ResourceLimitError, VerificationError, WorkerError
 from .graphs import (MODES, build_edge_rows, build_flip_graph,
-                     component_report, csv_lines, diameter, dot_lines)
+                     component_census, component_report, csv_lines,
+                     diameter, dot_lines)
 from .rainbow import find_rainbow_cycle
 
 EXIT_OK = 0
@@ -216,8 +217,8 @@ def cmd_enumerate(args) -> int:
 def cmd_graph(args) -> int:
     fmt = _pick_fmt(args, "json", ("json", "dot", "csv", "table"))
     # the edge exports print each edge once, so they build each edge once;
-    # the table needs the full rows for its degrees and components
-    build = build_flip_graph if fmt == "table" else build_edge_rows
+    # the table needs only degrees and components
+    build = component_census if fmt == "table" else build_edge_rows
     g = build(args.n, args.mode, threads=args.threads,
               mem_budget=args.mem_budget)
     if fmt == "dot":
@@ -231,7 +232,7 @@ def cmd_graph(args) -> int:
             f"vertices {g.vertex_count}", f"edges {g.edge_count}",
             f"centered edges {g.centered_edge_count}",
             f"degree min {ds['min']} max {ds['max']}",
-            f"components {len(g.components())}"]))
+            f"components {len(set(g.root))}"]))
     else:
         _write(args.out, _graph_json(g))
     return EXIT_OK
@@ -239,7 +240,7 @@ def cmd_graph(args) -> int:
 
 def cmd_stats(args) -> int:
     fmt = _pick_fmt(args, "json", ("json", "table", "csv"))
-    g = build_flip_graph(args.n, args.mode, threads=args.threads,
+    g = component_census(args.n, args.mode, threads=args.threads,
                          mem_budget=args.mem_budget)
     report = component_report(g)
     trees = sum(1 for c in report if c["is_tree"])

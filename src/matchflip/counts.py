@@ -21,7 +21,8 @@ from .dyck import (_band_weight, _peaks, _symmetric, _weight, _wraps,
                    catalan, dyck_words, enumerate_matchings)
 from .errors import VerificationError
 from .flips import replay
-from .graphs import build_flip_graph, component_report, diameter
+from .graphs import (build_flip_graph, component_census, component_report,
+                     diameter)
 
 
 def narayana(r: int, n: int, k: int) -> int:
@@ -272,9 +273,13 @@ def _structure_rows(n: int, pred: dict, threads: int,
                     mem_budget: int | None) -> list[CountRow]:
     """Graph-level facts re-checked against their predictions pred."""
     rows: list[CountRow] = []
-    h = build_flip_graph(n, "centered", threads=threads,
-                         mem_budget=mem_budget)
-    ds = h.degree_summary()
+    census = component_census(n, "centered", threads=threads,
+                              mem_budget=mem_budget)
+    # the full rows of H only where distances or rows are compared
+    h = (build_flip_graph(n, "centered", threads=threads,
+                          mem_budget=mem_budget)
+         if n <= max(_G_LIMIT, _H_DIAMETER_LIMIT) else None)
+    ds = census.degree_summary()
     rows.append(CountRow("H max degree", pred["max_degree"], ds["max"]))
     rows.append(CountRow("H min degree", pred["min_degree"], ds["min"]))
     if pred["max_degree_count"] is not None:
@@ -284,33 +289,33 @@ def _structure_rows(n: int, pred: dict, threads: int,
                          pred["min_degree_count"], ds["min_count"]))
 
     if n % 2:
-        rows.append(CountRow("H connected", 1, int(h.is_connected())))
+        rows.append(CountRow("H connected", 1, int(census.is_connected())))
         # construct checks each flip as it goes; these replays from the
         # start are the proof
         ends = (perimeter_matching(n), perimeter_matching(n, True))
         if n <= _ROUTE_LIMIT:
             good = ok = 0
             for r, m in enumerate(enumerate_matchings(n)):
-                good += h.degree(r) == len(visible_edges(m))
+                good += census.degree[r] == len(visible_edges(m))
                 try:
                     seq = canonical_flip_sequence(m)
                 except (ValueError, VerificationError):
                     continue
                 ok += len(seq) <= 4 * n - 11 and _route_ok(m, seq, ends)
             rows.append(CountRow("H degree equals visible edges",
-                                 h.vertex_count, good))
+                                 census.vertex_count, good))
         path = perimeter_swap_path(n)
         rows.append(CountRow("perimeter swap path length", 3 * n - 7,
                              len(path) if _route_ok(ends[0], path, ends[1:])
                              else -1))
         if n <= _ROUTE_LIMIT:
             rows.append(CountRow("canonical sequences valid",
-                                 h.vertex_count, ok))
+                                 census.vertex_count, ok))
         if n <= _H_DIAMETER_LIMIT:
             rows.append(CountRow("H diameter", MEASURED["H diameter"][n],
                                  diameter(h).value))
     else:
-        report = component_report(h)
+        report = component_report(census)
         trees = [c for c in report if c["is_tree"]]
         rows.append(CountRow("H component count",
                              pred["component_count"], len(report)))

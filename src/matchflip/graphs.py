@@ -3,11 +3,16 @@
 Vertices are the C_n non-crossing perfect matchings identified by their
 canonical rank; edges join matchings one flip apart.  mode="all" keeps
 every flip (with a per-edge centered flag), mode="centered" only the
-centered ones.  Storage is compact: one offsets array plus one flat sorted
-targets array, so neighbor lists are deterministic slices.  FlipGraph
-holds both ends of every edge, which the analyses walk; EdgeRows, a tuple
-of the same five fields, keeps only each row's targets above it, each
-edge once, and is all the edge exports read.
+centered ones.  Three views come from one build of each row's flips:
+- FlipGraph, a CSR of one offsets array and one flat sorted targets
+  array, holds both ends of every edge; the BFS kernels that measure
+  distances walk it.
+- EdgeRows, a tuple of the same five fields, keeps only each row's
+  targets above it, each edge once; the edge exports read it.
+- Census holds, per vertex, the smallest rank of its component, its
+  edges to higher ranks and its degree, from one union-find pass over
+  the upward rows, which it does not keep: 12 bytes per vertex for the
+  degrees, components and component report.
 """
 
 from __future__ import annotations
@@ -89,6 +94,47 @@ def _estimate_bytes(n: int) -> int:
     return 8 * (v + 1) + 5 * 2 * n * v
 
 
+def _row_numbers(lengths, start: int = 0):
+    """Each row number from start on, repeated by its row's length."""
+    return chain.from_iterable(map(repeat, count(start), lengths))
+
+
+def _union(root: array, edges) -> None:
+    """Join the two ends of every edge (x, y) in the union-find forest
+    root (Tarjan, JACM 22(2), 1975): link the larger root under the
+    smaller and halve the path of each find.  A parent is never above
+    its child, so every root is the smallest rank of its set."""
+    for x, y in edges:
+        while (p := root[x]) != x:
+            root[x] = x = root[p]
+        while (p := root[y]) != y:
+            root[y] = y = root[p]
+        if x < y:
+            root[y] = x
+        elif y < x:
+            root[x] = y
+
+
+def _finish(root: array) -> array:
+    """Point every vertex at its set's root in one ascending sweep: a
+    parent is below its child, so it already points at the root."""
+    for r, p in enumerate(root):
+        root[r] = root[p]
+    return root
+
+
+def _groups(root: array) -> list[list[int]]:
+    """The sets of a finished forest as sorted rank lists, largest first;
+    ties on size break by smallest rank, so the order is deterministic."""
+    comps: dict[int, list[int]] = {}
+    for r, f in enumerate(root):
+        if f == r:
+            comps[r] = [r]
+        else:
+            comps[f].append(r)
+    return sorted(comps.values(), key=len, reverse=True)   # stable
+
+
 class FlipGraph(NamedTuple):
     """Immutable flip graph in compressed sparse row form: row r holds,
     sorted, every neighbour of r, with its centered flag."""
@@ -103,49 +149,21 @@ class FlipGraph(NamedTuple):
     def vertex_count(self) -> int:
         return len(self.offsets) - 1
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.targets) // 2
-
-    @property
-    def centered_edge_count(self) -> int:
-        return sum(self.flags) // 2
-
     def neighbors(self, r: int) -> array:
         return self.targets[self.offsets[r]:self.offsets[r + 1]]
 
     def neighbor_flags(self, r: int) -> bytes:
         return self.flags[self.offsets[r]:self.offsets[r + 1]]
 
-    def degree(self, r: int) -> int:
-        return self.offsets[r + 1] - self.offsets[r]
-
-    def degree_summary(self) -> dict:
-        off = self.offsets
-        hist = Counter(map(sub, islice(off, 1, None), off))
-        lo, hi = min(hist), max(hist)
-        return {"min": lo, "max": hi, "min_count": hist[lo],
-                "max_count": hist[hi],
-                "histogram": dict(sorted(hist.items()))}
-
     def components(self) -> list[list[int]]:
-        """Connected components as sorted rank lists, largest first.
-
-        Ties on size break by smallest contained rank, so the order is
-        deterministic.
-        """
-        dist = array("i", [-1]) * self.vertex_count
-        comps = [sorted(_bfs(self, s, dist))
-                 for s in range(self.vertex_count) if dist[s] < 0]
-        comps.sort(key=lambda c: (-len(c), c[0]))
-        return comps
-
-    def component_edge_count(self, comp: list[int]) -> int:
-        return sum(self.degree(r) for r in comp) // 2
-
-    def is_connected(self) -> bool:
-        dist = array("i", [-1]) * self.vertex_count
-        return len(_bfs(self, 0, dist)) == self.vertex_count
+        """Census.components() of this graph, from the same union-find
+        pass over its arcs above the diagonal."""
+        off = self.offsets
+        arcs = zip(_row_numbers(map(sub, islice(off, 1, None), off)),
+                   self.targets)
+        root = array("i", range(self.vertex_count))
+        _union(root, ((x, y) for x, y in arcs if x < y))
+        return _groups(_finish(root))
 
     def is_bipartite(self) -> bool:
         # an odd cycle exists iff some edge joins two BFS distances of
@@ -184,34 +202,81 @@ class EdgeRows(NamedTuple):
         each row number repeated by its row's length, zipped with the
         row's targets and flags."""
         off = self.offsets
-        lengths = map(sub, islice(off, 1, None), off)
-        return zip(chain.from_iterable(map(repeat, count(), lengths)),
+        return zip(_row_numbers(map(sub, islice(off, 1, None), off)),
                    self.targets, map(bool, self.flags))
 
 
-def component_report(g: FlipGraph) -> list[dict]:
+class Census(NamedTuple):
+    """Degrees and components of a flip graph, 12 bytes per vertex:
+    root[r] is the smallest rank in r's component, up[r] the number of
+    r's edges to higher ranks and degree[r] its number of edges."""
+
+    n: int
+    mode: str
+    root: array
+    up: array
+    degree: array
+    centered_edge_count: int
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.root)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(self.up)
+
+    def degree_summary(self) -> dict:
+        hist = Counter(self.degree)
+        lo, hi = min(hist), max(hist)
+        return {"min": lo, "max": hi, "min_count": hist[lo],
+                "max_count": hist[hi],
+                "histogram": dict(sorted(hist.items()))}
+
+    def components(self) -> list[list[int]]:
+        """Connected components as sorted rank lists, largest first.
+
+        Ties on size break by smallest contained rank, so the order is
+        deterministic.
+        """
+        return _groups(self.root)
+
+    def component_edge_count(self, comp: list[int]) -> int:
+        # each edge counts once, at its lower end
+        return sum(map(self.up.__getitem__, comp))
+
+    def is_connected(self) -> bool:
+        return not any(self.root)
+
+
+def component_report(c: Census) -> list[dict]:
     """Structure of every component: size, tree test, symmetry, weights.
 
     Weight histograms are attached for even n only; signs need antipodal
-    point classes that odd n does not have.
+    point classes that odd n does not have.  Every count is kept per
+    component root, so no component is listed rank by rank.
     """
-    even = g.n % 2 == 0
+    even = c.n % 2 == 0
     sym = bytearray()
     wts = array("b")
-    for w in dyck_words(g.n):
-        sym.append(_symmetric(g.n, w))
+    for w in dyck_words(c.n):
+        sym.append(_symmetric(c.n, w))
         if even:
-            wts.append(_weight(g.n, w))
+            wts.append(_weight(c.n, w))
+    sizes = Counter(c.root)
+    # each edge counts once, at its lower end
+    edges = Counter(chain.from_iterable(map(repeat, c.root, c.up)))
+    symmetric = Counter(compress(c.root, sym))
+    weights: dict[int, dict[str, int]] = {f: {} for f in sizes}
+    for (f, w), k in sorted(Counter(zip(c.root, wts)).items()):
+        weights[f][str(w)] = k
     report = []
-    for comp in g.components():
-        edges = g.component_edge_count(comp)
-        row: dict = {"size": len(comp), "edges": edges,
-                     "is_tree": edges == len(comp) - 1,
-                     "min_rank": comp[0],
-                     "symmetric_count": sum(sym[r] for r in comp)}
+    for f, size in sorted(sizes.items(), key=lambda fs: (-fs[1], fs[0])):
+        row: dict = {"size": size, "edges": edges[f],
+                     "is_tree": edges[f] == size - 1, "min_rank": f,
+                     "symmetric_count": symmetric[f]}
         if even:
-            hist = Counter(wts[r] for r in comp)
-            row["weights"] = {str(w): hist[w] for w in sorted(hist)}
+            row["weights"] = weights[f]
         report.append(row)
     return report
 
@@ -220,7 +285,7 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
                      mem_budget: int | None = None) -> FlipGraph:
     """Enumerate all matchings of size n and wire up their flips.
 
-    threads > 1 forks worker processes (see _build_rows); the result is
+    threads > 1 forks worker processes (see _forked); the result is
     byte-identical for any thread count.  mem_budget (bytes) is checked
     against a size estimate before any allocation.
     """
@@ -238,22 +303,48 @@ def build_edge_rows(n: int, mode: str = "all", threads: int = 1,
                                           True))
 
 
-def _build_rows(n: int, mode: str, threads: int, mem_budget: int | None,
-                upward: bool) -> tuple[array, array, bytes]:
-    """Offsets, targets and flags of every row, or of the upward rows.
+def component_census(n: int, mode: str = "all", threads: int = 1,
+                     mem_budget: int | None = None) -> Census:
+    """Degrees and components of build_flip_graph's graph without its
+    rows.
 
-    threads > 1 cuts the ranks into chunks of at most _CHUNK_RANKS, at
-    least 4 per worker, and forks that many workers; worker w builds
-    chunks w, w + threads, ... and writes each chunk's row counts,
-    targets and flags as raw bytes to its own pipe.  The parent reads the
-    chunks in rank order and appends them to the rows, and a full pipe
-    holds each worker about one chunk ahead, so besides the rows the
-    parent holds about one chunk.  However the build ends, the parent
-    closes every pipe, kills the workers if it is unwinding from an
-    error, and reaps them all; a worker's MemoryError is raised again as
-    MemoryError, and any other worker failure or short read as
-    WorkerError, a RuntimeError.
+    The upward rows arrive one chunk of ranks at a time, from threads
+    forked workers (see _forked) or, with threads == 1, from the same
+    jobs run here one after another.  Each chunk adds its row lengths to
+    up and degree, one to the degree of each target, and each of its
+    edges to the union-find forest, and is then dropped; a last sweep
+    points every vertex at its root.  Identical for any thread count;
+    mem_budget is checked against the full graph's estimate.
     """
+    _check(n, mode, threads, mem_budget)
+    v = catalan(n)
+    root, up = array("i", range(v)), array("i")
+    degree = array("i", [0]) * v
+    centered = 0
+
+    def take(counts: array, targets, flags: bytes) -> None:
+        nonlocal centered
+        start = len(up)
+        up.extend(counts)
+        for r, k in zip(count(start), counts):
+            degree[r] += k
+        # targets come as an array("i") from here and as bytes from a pipe
+        targets = memoryview(targets).cast("B").cast("i")
+        for y in targets:
+            degree[y] += 1
+        _union(root, zip(_row_numbers(counts, start), targets))
+        centered += flags.count(1)
+
+    jobs = _jobs(n, mode, threads, True)
+    if threads == 1 or v < 4 * threads:
+        for job in jobs:
+            take(*_chunk_rows(job))
+    else:
+        _forked(jobs, threads, take)
+    return Census(n, mode, _finish(root), up, degree, centered)
+
+
+def _check(n: int, mode: str, threads: int, mem_budget: int | None) -> None:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if n < 1:
@@ -264,13 +355,52 @@ def _build_rows(n: int, mode: str, threads: int, mem_budget: int | None,
         raise ResourceLimitError(
             f"graph for n={n} needs an estimated {_estimate_bytes(n)} bytes, "
             f"over the budget of {mem_budget}")
+
+
+def _jobs(n: int, mode: str, threads: int, upward: bool) -> list[tuple]:
+    """_chunk_rows jobs over every rank: chunks of at most _CHUNK_RANKS,
+    at least 4 per worker."""
+    v = catalan(n)
+    size = min(_CHUNK_RANKS, -(-v // (4 * threads)))
+    return [(n, mode, s, min(s + size, v), upward) for s in range(0, v, size)]
+
+
+def _build_rows(n: int, mode: str, threads: int, mem_budget: int | None,
+                upward: bool) -> tuple[array, array, bytes]:
+    """Offsets, targets and flags of every row, or of the upward rows:
+    from one _chunk_rows call over all ranks, or appended chunk by chunk
+    from threads forked workers."""
+    _check(n, mode, threads, mem_budget)
     v = catalan(n)
     if threads == 1 or v < 4 * threads:
         counts, targets, flags = _chunk_rows((n, mode, 0, v, upward))
         return array("q", accumulate(counts, initial=0)), targets, flags
-    size = min(_CHUNK_RANKS, -(-v // (4 * threads)))
-    jobs = [(n, mode, s, min(s + size, v), upward) for s in range(0, v, size)]
     offsets, targets, flags = array("q", [0]), array("i"), bytearray()
+
+    def take(counts: array, chunk_targets: bytes, chunk_flags: bytes) -> None:
+        # a chunk's offsets go on from the last one
+        offsets.extend(accumulate(counts, initial=offsets.pop()))
+        targets.frombytes(chunk_targets)
+        flags.extend(chunk_flags)
+
+    _forked(_jobs(n, mode, threads, upward), threads, take)
+    return offsets, targets, bytes(flags)
+
+
+def _forked(jobs: list[tuple], threads: int, take) -> None:
+    """Run the _chunk_rows jobs in threads forked workers and call
+    take(counts, targets, flags) on each chunk in rank order, with the
+    targets and flags as raw bytes.
+
+    Worker w builds jobs w, w + threads, ... and writes each chunk's row
+    counts, targets and flags to its own pipe.  The parent reads the
+    chunks in rank order, and a full pipe holds each worker about one
+    chunk ahead, so besides what take keeps the parent holds about one
+    chunk.  However the run ends, the parent closes every pipe, kills the
+    workers if it is unwinding from an error, and reaps them all; a
+    worker's MemoryError is raised again as MemoryError, and any other
+    worker failure or short read as WorkerError, a RuntimeError.
+    """
     pids, readers, done = [], [], False
     try:
         for w in range(threads):
@@ -283,11 +413,8 @@ def _build_rows(n: int, mode: str, threads: int, mem_budget: int | None,
         # job k comes from worker k mod threads
         for (_, _, start, stop, _), src in zip(jobs, cycle(readers)):
             counts = array("i", _read(src, 4 * (stop - start)))
-            # a chunk's offsets go on from the last one, and its targets
-            # and flags fill up to the new last offset
-            offsets.extend(accumulate(counts, initial=offsets.pop()))
-            targets.frombytes(_read(src, 4 * (offsets[-1] - len(targets))))
-            flags += _read(src, offsets[-1] - len(flags))
+            arcs = sum(counts)
+            take(counts, _read(src, 4 * arcs), _read(src, arcs))
         done = True
     except EOFError:
         pass                            # a worker died: its status says why
@@ -303,7 +430,6 @@ def _build_rows(n: int, mode: str, threads: int, mem_budget: int | None,
         raise MemoryError("a graph build worker ran out of memory")
     if not done or any(codes):
         raise WorkerError(f"graph build workers exited with {codes}")
-    return offsets, targets, bytes(flags)
 
 
 def _bfs(g: FlipGraph, src: int, dist: array | list[int]) -> array:

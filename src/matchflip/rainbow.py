@@ -18,7 +18,7 @@ from .counts import narayana
 from .dyck import _unrank_word, orbit_minima, unrank
 from .errors import VerificationError
 from .flips import Flip, _flip, _in_chords, flip_cells, make_flip
-from .graphs import build_flip_graph
+from .graphs import component_census
 
 
 @lru_cache(maxsize=None)
@@ -185,9 +185,9 @@ def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,
     For odd n the averaging certificate answers immediately unless
     force_search asks for the explicit search.  Budget counts node
     expansions; running out gives status "budget", never "none".  The
-    centered graph is built with threads and mem_budget, as
-    build_flip_graph takes them, and only once no certificate has
-    answered.
+    centered graph's components come from component_census, with threads
+    and mem_budget, and only once no certificate has answered; no flip
+    graph is built.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -208,15 +208,15 @@ def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,
             n, r, "none", "threshold",
             {"threshold": nonexistence_bound(n),
              "max_component_bound": narayana(1, n, n // 2)})
-    g = build_flip_graph(n, "centered", threads, mem_budget)
+    census = component_census(n, "centered", threads, mem_budget)
     searcher = _Search(n, r, length, budget)
     searched_any = False
-    comps = g.components()
+    comps = census.components()
     try:
         for comp in comps:
             if len(comp) < length:
                 continue
-            if g.component_edge_count(comp) == len(comp) - 1:
+            if census.component_edge_count(comp) == len(comp) - 1:
                 continue        # a tree has no cycles at all
             searched_any = True
             hit = searcher.run(comp)
@@ -237,7 +237,8 @@ def find_rainbow_cycle(n: int, r: int, budget: int = 10 ** 9,
                              expanded=searcher.expanded)
     # nothing was searchable: every component with a cycle is too small
     largest_cyclic = max((len(c) for c in comps
-                          if g.component_edge_count(c) >= len(c)), default=0)
+                          if census.component_edge_count(c) >= len(c)),
+                         default=0)
     return RainbowResult(n, r, "none", "component-size",
                          {"required_length": length,
                           "largest_cyclic_component": largest_cyclic},

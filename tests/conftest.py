@@ -1,5 +1,5 @@
-"""Shared fixtures: a session-wide flip-graph cache, its edges from the
-nested-loop oracle, a build-worker fault injector and the acceptance
+"""Shared fixtures: session-wide flip-graph and census caches, the
+graphs' edges from the nested-loop oracle, a build-worker fault injector and the acceptance
 criterion recorder that prints one PASS/FAIL line per criterion."""
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from itertools import accumulate
 
 import pytest
 
-from matchflip import (apply_flip, build_flip_graph, flippable_pairs,
-                       is_centered)
+from matchflip import (apply_flip, build_flip_graph, component_census,
+                       flippable_pairs, is_centered)
 from matchflip import graphs
 
 import oracles
@@ -23,6 +23,11 @@ import oracles
 def cached_graph(n: int, mode: str):
     # big builds share workers; smaller ones are cheaper single-threaded
     return build_flip_graph(n, mode, threads=4 if n >= 10 else 1)
+
+
+@lru_cache(maxsize=None)
+def cached_census(n: int, mode: str):
+    return component_census(n, mode, threads=4 if n >= 10 else 1)
 
 
 def full_edges(g) -> list:

@@ -26,7 +26,7 @@ from matchflip.graphs import diameter
 from matchflip.rainbow import (find_rainbow_cycle, nonexistence_bound,
                                verify_rainbow)
 
-from conftest import cached_graph, criterion, full_edges
+from conftest import cached_census, cached_graph, criterion, full_edges
 from oracles import oracle_centered
 
 
@@ -74,14 +74,12 @@ def test_criterion_04_connectivity_and_diameters():
     with criterion(4, "connectivity and diameters of both graphs"):
         diam_h, diam_g = MEASURED["H diameter"], MEASURED["G diameter"]
         for n in (3, 5, 7):
-            h = cached_graph(n, "centered")
-            assert h.is_connected()
-            res = diameter(h)
+            assert cached_census(n, "centered").is_connected()
+            res = diameter(cached_graph(n, "centered"))
             assert res.exact and res.value == diam_h[n]
         t0 = time.perf_counter()
-        h9 = cached_graph(9, "centered")
-        assert h9.is_connected()
-        res9 = diameter(h9)
+        assert cached_census(9, "centered").is_connected()
+        res9 = diameter(cached_graph(9, "centered"))
         assert res9.exact and res9.value == diam_h[9]
         assert time.perf_counter() - t0 < 1800.0
         for n in range(3, 10):
@@ -118,7 +116,7 @@ def test_criterion_05_constructive_paths():
 def test_criterion_06_component_structure_even():
     with criterion(6, "even-n component census up to n=12"):
         for n in (2, 4, 6, 8, 10, 12):
-            h = cached_graph(n, "centered")
+            h = cached_census(n, "centered")
             comps = h.components()
             if n >= 4:
                 assert len(comps) == catalan(n // 2) + n - 3

@@ -211,13 +211,13 @@ def test_failed_build_worker_exits_4(capfd, monkeypatch):
 def test_rainbow_passes_threads_and_budget_to_its_build(capsys,
                                                         monkeypatch):
     builds = []
-    real = rainbow.build_flip_graph
+    real = rainbow.component_census
 
     def build(*args):
         builds.append(args)
         return real(*args)
 
-    monkeypatch.setattr(rainbow, "build_flip_graph", build)
+    monkeypatch.setattr(rainbow, "component_census", build)
     _, base, _ = run(capsys, "rainbow", "--n", "6", "--r", "2",
                      "--threads", "1")
     _, threaded, _ = run(capsys, "rainbow", "--n", "6", "--r", "2",
@@ -518,15 +518,39 @@ def test_two_worker_build_peak_memory_matches_one_process():
     # the parent reads the workers' rows a small rank chunk at a time from
     # their pipes, so it holds neither a second copy of the graph nor a
     # process pool
+    peak_kib = _peak_by_threads("build_flip_graph")
+    assert peak_kib["2"] <= peak_kib["1"] + 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs /proc/self/status")
+def test_two_worker_census_peak_memory_matches_one_process():
+    # the census takes the same chunks, from the workers' pipes or built
+    # here one at a time, and keeps none of them
+    peak_kib = _peak_by_threads("component_census")
+    assert peak_kib["2"] <= peak_kib["1"] + 1024
+
+
+# VmHWM of a process that calls graphs.<argv[1]>(11, "all", threads)
+_PEAK_CALL = """
+import sys
+from matchflip import graphs
+getattr(graphs, sys.argv[1])(11, "all", threads=int(sys.argv[2]))
+with open("/proc/self/status") as fh:
+    print(*[ln.split()[1] for ln in fh if ln.startswith("VmHWM")],
+          file=sys.stderr)
+"""
+
+
+def _peak_by_threads(build: str) -> dict:
     peak_kib = {}
     for threads in ("1", "2"):
         proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_HWM, "graph", "--n", "11", "--mode",
-             "all", "--format", "table", "--threads", threads],
+            [sys.executable, "-c", _PEAK_CALL, build, threads],
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         assert proc.returncode == 0
         peak_kib[threads] = int(proc.stderr.split()[-1])
-    assert peak_kib["2"] <= peak_kib["1"] + 1024
+    return peak_kib
 
 
 # VmHWM from just before main() to exit: what the command itself adds
@@ -555,6 +579,19 @@ def test_graph_json_holds_less_than_the_full_graph():
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     assert proc.returncode == 0
     assert int(proc.stderr.split()[-1]) < full_kib
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs /proc/self/status")
+def test_verify_holds_less_than_the_full_graph():
+    # the H_11 degrees and connectivity come from the census, 12 bytes a
+    # vertex, not from the two-ended rows, which alone raise VmHWM by
+    # about 2.8 MiB
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RISE, "verify", "--n", "11"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0
+    assert int(proc.stderr.split()[-1]) <= 2048
 
 
 def test_output_is_deterministic(capsys):

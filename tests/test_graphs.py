@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from functools import lru_cache
 
 import pytest
 
@@ -17,11 +18,12 @@ from matchflip.errors import ResourceLimitError
 from matchflip.flips import is_centered
 from matchflip.graphs import (EdgeRows, FlipGraph, _farthest, bfs_distances,
                               build_edge_rows, build_flip_graph,
-                              component_report, csv_lines, diameter,
-                              dot_lines, graph_json_obj)
+                              component_census, component_report, csv_lines,
+                              diameter, dot_lines, graph_json_obj)
 
 import oracles
-from conftest import _fault_on_job, cached_graph, flip_neighbors, full_edges
+from conftest import (_fault_on_job, cached_census, cached_graph,
+                      flip_neighbors, full_edges)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -34,7 +36,7 @@ def test_adjacency_matches_per_matching_neighbors(n, mode):
         m = unrank(n, r)
         expected = sorted(rank(nb) for nb in flip_neighbors(m, mode))
         assert list(g.neighbors(r)) == expected
-        assert g.degree(r) == len(expected)
+        assert g.offsets[r + 1] - g.offsets[r] == len(expected)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -117,7 +119,7 @@ def test_centered_mode_is_the_flagged_subgraph(n):
     kept = {(r, s) for r, s, cen in full_edges(g) if cen}
     assert {(r, s) for r, s, cen in full_edges(h)} == kept
     assert all(cen for _, _, cen in full_edges(h))
-    assert g.centered_edge_count == len(kept) == h.edge_count
+    assert sum(g.flags) // 2 == len(kept) == len(h.targets) // 2
     # flags agree with the flip predicate itself
     for r, s, cen in full_edges(g):
         m = unrank(n, r)
@@ -139,11 +141,15 @@ def test_build_rejects_bad_arguments():
         build_flip_graph(0)
     with pytest.raises(ValueError):
         build_flip_graph(3, threads=0)
+    with pytest.raises(ValueError):
+        component_census(3, mode="weird")
 
 
 def test_memory_budget_is_enforced_before_allocation():
     with pytest.raises(ResourceLimitError):
         build_flip_graph(8, mem_budget=1024)
+    with pytest.raises(ResourceLimitError):
+        component_census(8, mem_budget=1024)
     g = build_flip_graph(4, mem_budget=10 ** 8)
     assert g.vertex_count == 14
 
@@ -178,7 +184,7 @@ def test_edge_rows_are_the_rows_above_the_diagonal(n, mode):
         assert rows.vertex_count == g.vertex_count
         assert [list(zip(rows.targets[a:b], rows.flags[a:b])) for a, b
                 in zip(rows.offsets, rows.offsets[1:])] == above
-        assert rows.edge_count == g.edge_count
+        assert rows.edge_count == len(g.targets) // 2
 
 
 # one failing job: the first (worker 0, whose partner is then killed
@@ -229,16 +235,17 @@ def test_degree_sum_and_maximum(n):
     # the mean degree behind _estimate_bytes, and the largest degree,
     # that of UDUD...UD, whose chords are pairwise flippable
     g = cached_graph(n, "all")
-    assert 2 * g.edge_count * (n + 2) == catalan(n) * 2 * n * (n - 1)
+    assert len(g.targets) * (n + 2) == catalan(n) * 2 * n * (n - 1)
     degs = [b - a for a, b in zip(g.offsets, g.offsets[1:])]
-    assert max(degs) == g.degree(g.vertex_count - 1) == n * (n - 1) // 2
+    assert max(degs) == degs[-1] == n * (n - 1) // 2
     assert _unrank_word(n, g.vertex_count - 1) == "UD" * n
 
 
 def test_degree_summary_is_consistent():
-    g = cached_graph(5, "centered")
+    g = cached_census(5, "centered")
     summary = g.degree_summary()
-    degs = [b - a for a, b in zip(g.offsets, g.offsets[1:])]
+    h = cached_graph(5, "centered")
+    degs = [b - a for a, b in zip(h.offsets, h.offsets[1:])]
     assert summary["min"] == min(degs)
     assert summary["max"] == max(degs)
     assert summary["min_count"] == degs.count(summary["min"])
@@ -246,22 +253,23 @@ def test_degree_summary_is_consistent():
     assert sum(summary["histogram"].values()) == g.vertex_count
     assert summary["histogram"][summary["max"]] == summary["max_count"]
     assert [r for r, d in enumerate(degs) if d == summary["max"]] == [
-        r for r in range(g.vertex_count) if g.degree(r) == summary["max"]]
+        r for r in range(g.vertex_count) if g.degree[r] == summary["max"]]
 
 
 def test_components_ordering_and_sizes():
-    h4 = cached_graph(4, "centered")
+    h4 = cached_census(4, "centered")
     comps = h4.components()
     assert [len(c) for c in comps] == [8, 3, 3]
     assert comps[1][0] < comps[2][0]
     for comp in comps:
         assert comp == sorted(comp)
+    assert cached_graph(4, "centered").components() == comps
     assert not h4.is_connected()
-    assert cached_graph(4, "all").is_connected()
+    assert cached_census(4, "all").is_connected()
 
 
 def test_component_edge_count_tree_check():
-    h6 = cached_graph(6, "centered")
+    h6 = cached_census(6, "centered")
     comps = h6.components()
     sizes = sorted((len(c) for c in comps), reverse=True)
     assert len(comps) == 8 and sum(sizes) == catalan(6)
@@ -271,7 +279,7 @@ def test_component_edge_count_tree_check():
 
 
 def test_component_report_structure():
-    h6 = cached_graph(6, "centered")
+    h6 = cached_census(6, "centered")
     report = component_report(h6)
     assert len(report) == 8
     assert sum(entry["size"] for entry in report) == catalan(6)
@@ -293,7 +301,7 @@ def test_component_report_structure():
 def test_component_report_matches_matching_oracles(n, mode):
     # per component: symmetry as "fixed by a half turn", weights from the
     # floating-point sign and length oracles
-    g = cached_graph(n, mode)
+    g = cached_census(n, mode)
     ms = list(enumerate_matchings(n))
     report = component_report(g)
     comps = g.components()
@@ -309,6 +317,59 @@ def test_component_report_matches_matching_oracles(n, mode):
             w = oracles.oracle_weight(n, ms[r].pairs)
             hist[str(w)] = hist.get(str(w), 0) + 1
         assert entry["weights"] == hist
+
+
+@lru_cache(maxsize=None)
+def _census_oracle(n, mode):
+    """(root, up, degree, centered edges, component report) of
+    cached_graph(n, mode): components from networkx over the nested-loop
+    edges, degrees from the full rows, symmetry and weights from the
+    floating-point matching oracles."""
+    nx = pytest.importorskip("networkx")
+    g = cached_graph(n, mode)
+    edges = full_edges(g)
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.vertex_count))
+    ng.add_edges_from((r, s) for r, s, _ in edges)
+    comps = sorted((sorted(c) for c in nx.connected_components(ng)),
+                   key=lambda c: (-len(c), c[0]))
+    root = [0] * g.vertex_count
+    for c in comps:
+        for r in c:
+            root[r] = c[0]
+    up = [sum(s > r for s in g.neighbors(r)) for r in range(g.vertex_count)]
+    degree = [b - a for a, b in zip(g.offsets, g.offsets[1:])]
+    ms = list(enumerate_matchings(n))
+    report = []
+    for c in comps:
+        inside = sum(root[r] == c[0] for r, _, _ in edges)
+        row = {"size": len(c), "edges": inside,
+               "is_tree": inside == len(c) - 1, "min_rank": c[0],
+               "symmetric_count": sum(
+                   oracles.rotate(n, ms[r].pairs, n) == ms[r].pairs
+                   for r in c)}
+        if n % 2 == 0:
+            ws = [oracles.oracle_weight(n, ms[r].pairs) for r in c]
+            row["weights"] = {str(w): ws.count(w) for w in sorted(set(ws))}
+        report.append(row)
+    return root, up, degree, sum(cen for _, _, cen in edges), report
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("mode", ["all", "centered"])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_census_matches_networkx_and_the_full_rows(n, mode, threads):
+    root, up, degree, centered, report = _census_oracle(n, mode)
+    c = component_census(n, mode, threads=threads)
+    assert (c.n, c.mode, c.vertex_count) == (n, mode, catalan(n))
+    assert all(a.typecode == "i" for a in (c.root, c.up, c.degree))
+    assert list(c.root) == root
+    assert list(c.up) == up
+    assert list(c.degree) == degree
+    assert c.edge_count == sum(up)
+    assert c.centered_edge_count == centered
+    assert c.is_connected() == (len(report) == 1)
+    assert component_report(c) == report
 
 
 def test_bfs_helpers_agree():
@@ -328,7 +389,7 @@ def test_bfs_helpers_agree():
 
 def test_bfs_distance_unreachable_is_none():
     h4 = cached_graph(4, "centered")
-    comps = h4.components()
+    comps = cached_census(4, "centered").components()
     a, b = comps[0][0], comps[1][0]
     assert bfs_distances(h4, a)[b] == -1
 
@@ -398,6 +459,7 @@ def test_analysis_matches_networkx(n, mode):
     comps = sorted((sorted(c) for c in nx.connected_components(ng)),
                    key=lambda c: (-len(c), c[0]))
     assert g.components() == comps
+    assert cached_census(n, mode).components() == comps
     assert g.is_bipartite() == nx.is_bipartite(ng)
     res = diameter(g)
     assert res.connected == nx.is_connected(ng)
@@ -542,8 +604,8 @@ def test_dot_output_shape():
     assert f'[label="{_unrank_word(3, 0)}"]' in labels[0]
     solid = sum("style=solid" in ln for ln in lines)
     dashed = sum("style=dashed" in ln for ln in lines)
-    assert solid == g.centered_edge_count
-    assert solid + dashed == g.edge_count
+    assert solid == sum(g.flags) // 2
+    assert solid + dashed == len(g.targets) // 2
 
 
 def test_csv_round_trips_edges():
@@ -552,7 +614,7 @@ def test_csv_round_trips_edges():
     assert lines[0] == "src_rank,dst_rank,centered"
     parsed = [tuple(int(x) for x in ln.split(",")) for ln in lines[1:]]
     assert parsed == [(r, s, int(c)) for r, s, c in full_edges(g)]
-    assert len(parsed) == g.edge_count
+    assert len(parsed) == len(g.targets) // 2
 
 
 def test_json_obj_fields():
@@ -560,5 +622,5 @@ def test_json_obj_fields():
     obj = graph_json_obj(build_edge_rows(3, "centered"))
     assert obj["n"] == 3 and obj["mode"] == "centered"
     assert obj["vertex_count"] == 5
-    assert len(obj["edges"]) == obj["edge_count"] == g.edge_count
+    assert len(obj["edges"]) == obj["edge_count"] == len(g.targets) // 2
     assert obj["words"] == [_unrank_word(3, r) for r in range(5)]

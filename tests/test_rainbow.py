@@ -15,7 +15,7 @@ from matchflip.rainbow import (admissible_chords, find_rainbow_cycle,
                                nonexistence_bound, odd_average_certificate,
                                verify_rainbow)
 
-from conftest import cached_graph
+from conftest import cached_census
 from oracles import oracle_rainbow_dfs
 
 
@@ -153,7 +153,7 @@ def test_budget_interrupts_search():
                                  for r in (1, 2, 3, 17)] + [(7, 2), (7, 17)])
 def test_search_matches_list_counter_oracle(n, r):
     budget = 20000
-    comps = [c for c in cached_graph(n, "centered").components()
+    comps = [c for c in cached_census(n, "centered").components()
              if len(c) > 2][:3]
     for comp in comps:
         cand = {v: rainbow._candidates(n, v) for v in comp}

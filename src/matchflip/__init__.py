@@ -40,10 +40,10 @@ __all__ = [
     "canonical_flip_sequence", "catalan", "chord_length", "chord_sign",
     "class_partition_size", "component_census", "component_report",
     "component_size_fraction", "csv_lines", "diameter", "diameter_chord",
-    "dot_lines", "dyck_words", "enumerate_matchings", "find_rainbow_cycle", "flippable_pairs",
-    "from_dyck", "graph_json_obj", "hidden_behind", "is_centered",
-    "is_centrally_symmetric", "make_chord", "make_flip", "max_length",
-    "narayana", "nonexistence_bound",
+    "dot_lines", "dyck_words", "enumerate_matchings", "find_rainbow_cycle",
+    "flippable_pairs", "from_dyck", "graph_json_obj", "hidden_behind",
+    "is_centered", "is_centrally_symmetric", "make_chord", "make_flip",
+    "max_length", "narayana", "nonexistence_bound",
     "odd_average_certificate", "opening_endpoint", "peaks",
     "perimeter_class_size", "perimeter_edge_count", "perimeter_matching",
     "perimeter_swap_path", "predicted_extremes", "rank", "replay",

@@ -209,8 +209,9 @@ def verify_counts(n: int, threads: int = 1,
     """Compare every prediction for size n with what enumeration finds.
 
     The rows are the census of one pass over all matchings, then the
-    facts of the flip graphs, which are built with `build_flip_graph`'s
-    threads and mem_budget.
+    facts of the flip graphs: degrees and components from
+    `component_census`, and distances and rows from `build_flip_graph`
+    at small n, both with threads and mem_budget.
     """
     pred = predicted_extremes(n)
     n_symmetric = 0

@@ -345,6 +345,7 @@ def component_census(n: int, mode: str = "all", threads: int = 1,
 
 
 def _check(n: int, mode: str, threads: int, mem_budget: int | None) -> None:
+    """Reject bad arguments, and a graph whose estimate exceeds mem_budget."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if n < 1:

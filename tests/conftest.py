@@ -1,6 +1,7 @@
 """Shared fixtures: session-wide flip-graph and census caches, the
-graphs' edges from the nested-loop oracle, a build-worker fault injector and the acceptance
-criterion recorder that prints one PASS/FAIL line per criterion."""
+graphs' edges from the nested-loop oracle, a build-worker fault injector
+and the acceptance criterion recorder that prints one PASS/FAIL line per
+criterion."""
 
 from __future__ import annotations
 

@@ -25,7 +25,7 @@ from .flips import (Flip, apply_flip, flippable_pairs, is_centered,
                     make_flip, replay)
 from .graphs import (Census, DiameterResult, FlipGraph, bfs_distances,
                      build_flip_graph, component_census, component_report,
-                     csv_lines, diameter, dot_lines, graph_json_obj)
+                     diameter, graph_json_obj)
 from .rainbow import (RainbowResult, admissible_chords, find_rainbow_cycle,
                       nonexistence_bound, odd_average_certificate,
                       verify_rainbow)
@@ -39,11 +39,11 @@ __all__ = [
     "bfs_distances", "bits_to_symmetric", "build_flip_graph",
     "canonical_flip_sequence", "catalan", "chord_length", "chord_sign",
     "class_partition_size", "component_census", "component_report",
-    "component_size_fraction", "csv_lines", "diameter", "diameter_chord",
-    "dot_lines", "dyck_words", "enumerate_matchings", "find_rainbow_cycle",
-    "flippable_pairs", "from_dyck", "graph_json_obj", "hidden_behind",
-    "is_centered", "is_centrally_symmetric", "make_chord", "make_flip",
-    "max_length", "narayana", "nonexistence_bound",
+    "component_size_fraction", "diameter", "diameter_chord", "dyck_words",
+    "enumerate_matchings", "find_rainbow_cycle", "flippable_pairs",
+    "from_dyck", "graph_json_obj", "hidden_behind", "is_centered",
+    "is_centrally_symmetric", "make_chord", "make_flip", "max_length",
+    "narayana", "nonexistence_bound",
     "odd_average_certificate", "opening_endpoint", "peaks",
     "perimeter_class_size", "perimeter_edge_count", "perimeter_matching",
     "perimeter_swap_path", "predicted_extremes", "rank", "replay",

@@ -5,7 +5,9 @@ Every prediction and every check that re-derives one lives in `counts`;
 
 Same flags, same bytes: every command is deterministic.  Exit codes:
 0 success, 1 usage error, 2 verification mismatch, 3 search budget
-exhausted, 4 resource limit (memory budget, IO, a failed build worker).
+exhausted, 4 resource limit (memory budget, IO, a failed build worker;
+a graph export whose worker fails while formatting has by then printed
+part of its text).
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, islice
+from functools import partial
+from itertools import chain, count, islice, repeat
 
 from .counts import predicted_extremes, verify_counts
-from .dyck import dyck_words, enumerate_matchings, to_dyck
+from .dyck import catalan, dyck_words, enumerate_matchings, to_dyck
 from .errors import ResourceLimitError, VerificationError, WorkerError
-from .graphs import (MODES, build_edge_rows, build_flip_graph,
-                     component_census, component_report, csv_lines,
-                     diameter, dot_lines)
+from .graphs import (MODES, build_flip_graph, component_census,
+                     component_report, diameter, edge_text)
 from .rainbow import find_rainbow_cycle
 
 EXIT_OK = 0
@@ -130,33 +132,47 @@ def _json_array(chunks, indent: str = ""):
     yield "[]" if sep == "[" else "\n" + indent + "]"
 
 
-_EDGE = "    [\n      %d,\n      %d,\n      %d\n    ]"
+# per edge format: the form of one edge, from its rank, its target and
+# its flag's label; the separator between edges; the labels of flags 0
+# and 1
+_EDGE_FORMS = {"json": ("    [\n      %d,\n      %d,\n      %d\n    ]",
+                        ",\n", (0, 1)),
+               "csv": ("%d,%d,%d\n", "", (0, 1)),
+               "dot": ("  %d -- %d [style=%s];\n", "", ("dashed", "solid"))}
 
 
-def _edge_chunks(edges, size: int = 2048):
-    """Edge items of the graph JSON, one `%` per batch of size edges.
+def _edge_chunks(form: str, sep: str, labels: tuple, start: int, counts,
+                 targets, flags, size: int = 2048):
+    """Text of the upward rows from rank start on, whose lengths are
+    counts: one `%` of form per batch of at most size edges, the batch's
+    items joined by sep, each flag printed as its label.
 
-    The batch is a flat tuple of 3 * size numbers, not a list of edge
-    tuples, which keeps it below the words array in memory; %d prints a
-    centered flag as 0 or 1.
+    The batch is one flat list of 3 * size values, filled by slice
+    assignment with the row numbers, the targets and the labels, not a
+    list of edge tuples, which keeps it below the words array in memory.
     """
-    flat = chain.from_iterable(edges)
-    full = ",\n".join([_EDGE] * size)
-    while batch := tuple(islice(flat, 3 * size)):
-        form = (full if len(batch) == 3 * size
-                else ",\n".join([_EDGE] * (len(batch) // 3)))
-        yield form % batch
+    rows = chain.from_iterable(map(repeat, count(start), counts))
+    flat, full = [0] * (3 * size), sep.join([form] * size)
+    for at in range(0, len(targets), size):
+        if len(targets) - at < size:
+            size = len(targets) - at
+            flat, full = flat[:3 * size], sep.join([form] * size)
+        flat[0::3] = islice(rows, size)
+        flat[1::3] = targets[at:at + size]
+        flat[2::3] = map(labels.__getitem__, flags[at:at + size])
+        yield full % tuple(flat)
 
 
-def _graph_json(g):
-    """`_dump(graph_json_obj(g))` as text chunks, with edges from the
-    upward rows g (an EdgeRows) and words from one `dyck_words` stream."""
-    yield f'{{\n  "edge_count": {g.edge_count},\n  "edges": '
-    yield from _json_array(_edge_chunks(g.edges()), "  ")
-    yield (f',\n  "mode": {json.dumps(g.mode)},\n  "n": {g.n},\n'
-           f'  "vertex_count": {g.vertex_count},\n  "words": ')
+def _graph_json(n: int, mode: str, edge_count: int, edges):
+    """`_dump(graph_json_obj(g))` as text chunks, for the graph g of n
+    and mode with edge_count edges: the edge items come as the text
+    chunks edges, the words from one `dyck_words` stream."""
+    yield f'{{\n  "edge_count": {edge_count},\n  "edges": '
+    yield from _json_array(edges, "  ")
+    yield (f',\n  "mode": {json.dumps(mode)},\n  "n": {n},\n'
+           f'  "vertex_count": {catalan(n)},\n  "words": ')
     yield from _json_array(('    "' + '",\n    "'.join(batch) + '"'
-                            for batch in _batched(dyck_words(g.n))), "  ")
+                            for batch in _batched(dyck_words(n))), "  ")
     yield "\n}\n"
 
 
@@ -216,16 +232,11 @@ def cmd_enumerate(args) -> int:
 
 def cmd_graph(args) -> int:
     fmt = _pick_fmt(args, "json", ("json", "dot", "csv", "table"))
-    # the edge exports print each edge once, so they build each edge once;
-    # the table needs only degrees and components
-    build = component_census if fmt == "table" else build_edge_rows
-    g = build(args.n, args.mode, threads=args.threads,
-              mem_budget=args.mem_budget)
-    if fmt == "dot":
-        _write(args.out, _lines(dot_lines(g)))
-    elif fmt == "csv":
-        _write(args.out, _lines(csv_lines(g)))
-    elif fmt == "table":
+    n, mode = args.n, args.mode
+    if fmt == "table":
+        # the table needs only degrees and components
+        g = component_census(n, mode, threads=args.threads,
+                             mem_budget=args.mem_budget)
         ds = g.degree_summary()
         _write(args.out, _lines([
             f"n {g.n}", f"mode {g.mode}",
@@ -233,8 +244,21 @@ def cmd_graph(args) -> int:
             f"centered edges {g.centered_edge_count}",
             f"degree min {ds['min']} max {ds['max']}",
             f"components {len(set(g.root))}"]))
-    else:
-        _write(args.out, _graph_json(g))
+        return EXIT_OK
+    text = partial(_edge_chunks, *_EDGE_FORMS[fmt])
+    with edge_text(n, mode, args.threads, args.mem_budget,
+                   text) as (edge_count, edges):
+        if fmt == "json":
+            chunks = _graph_json(n, mode, edge_count, edges)
+        elif fmt == "csv":
+            chunks = chain(["src_rank,dst_rank,centered\n"], edges)
+        else:
+            chunks = chain(
+                [f'graph "flips_n{n}_{mode}" {{\n  node [shape=box];\n'],
+                 _lines(map('  %d [label="%s"];'.__mod__,
+                            enumerate(dyck_words(n)))),
+                 edges, ["}\n"])
+        _write(args.out, chunks)
     return EXIT_OK
 
 

@@ -8,7 +8,10 @@ centered ones.  Three views come from one build of each row's flips:
   array, holds both ends of every edge; the BFS kernels that measure
   distances walk it.
 - EdgeRows, a tuple of the same five fields, keeps only each row's
-  targets above it, each edge once; the edge exports read it.
+  targets above it, each edge once.  edge_text hands the upward rows to
+  an edge formatter: in process as one EdgeRows, or, with threads > 1,
+  chunk by chunk in the forked workers, whose text the parent copies
+  without ever holding the rows.
 - Census holds, per vertex, the smallest rank of its component, its
   edges to higher ranks and its degree, from one union-find pass over
   the upward rows, which it does not keep: 12 bytes per vertex for the
@@ -21,9 +24,10 @@ import os
 import random
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from itertools import accumulate, chain, compress, count, cycle, islice, repeat
 from operator import itemgetter, sub
-from typing import BinaryIO, Iterator, NamedTuple, NoReturn
+from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn
 
 from .dyck import _symmetric, _weight, catalan, dyck_words, orbit_minima
 from .errors import ResourceLimitError, WorkerError
@@ -54,21 +58,26 @@ def _chunk_rows(args) -> tuple[array, array, bytes]:
     return counts, targets, bytes(flags)
 
 
-def _worker(out: BinaryIO, jobs: list[tuple], inherited: list) -> NoReturn:
+def _worker(out: BinaryIO, jobs: list[tuple], inherited: list,
+            text: Callable | None) -> NoReturn:
     """Body of a forked build worker; it never returns.
 
-    It closes the read ends it inherited, writes the row counts, targets
-    and flags of each job to out, and ends with os._exit, so it neither
-    flushes the stdio buffers it inherited nor runs atexit.  MemoryError
-    exits with _EXIT_NO_MEMORY; any other error prints its traceback to
-    fd 2 and exits with 1.
+    It closes the read ends it inherited and writes to out, for each job,
+    the row counts, targets and flags, or with text, what _send_text
+    writes.  It ends with os._exit, so it neither flushes the stdio
+    buffers it inherited nor runs atexit.  MemoryError exits with
+    _EXIT_NO_MEMORY; any other error prints its traceback to fd 2 and
+    exits with 1.
     """
     status = 1
     try:
         for src in inherited:
             src.close()
-        for job in jobs:
-            out.writelines(_chunk_rows(job))
+        if text is None:
+            for job in jobs:
+                out.writelines(_chunk_rows(job))
+        else:
+            _send_text(out, jobs, text)
         out.close()
         status = 0
     except MemoryError:
@@ -78,6 +87,20 @@ def _worker(out: BinaryIO, jobs: list[tuple], inherited: list) -> NoReturn:
         os.write(2, traceback.format_exc().encode())
     finally:
         os._exit(status)
+
+
+def _send_text(out: BinaryIO, jobs: list[tuple], text: Callable) -> None:
+    """Build the upward rows of every job and keep them; write each
+    chunk's edge count as an array("q"), then each chunk's text: every
+    string that text(start, counts, targets, flags) yields, encoded
+    after its 4-byte length, and a zero length to end the chunk."""
+    chunks = [_chunk_rows(job) for job in jobs]
+    out.write(array("q", [len(targets) for _, targets, _ in chunks]))
+    for (_, _, start, _, _), chunk in zip(jobs, chunks):
+        for frame in text(start, *chunk):
+            data = frame.encode()
+            out.writelines((len(data).to_bytes(4, "little"), data))
+        out.write(bytes(4))
 
 
 def _read(src: BinaryIO, size: int) -> bytes:
@@ -92,6 +115,13 @@ def _estimate_bytes(n: int) -> int:
     # C_n * 2n(n-1)/(n+2), checked by enumeration for n = 2..11), though
     # UDUD...UD has degree n(n-1)/2; 5 bytes per stored arc end
     return 8 * (v + 1) + 5 * 2 * n * v
+
+
+def _census_bytes(n: int) -> int:
+    # 12 bytes per vertex, and one chunk of upward rows: 4 bytes per row
+    # and 5 per edge, and no row longer than the largest degree, n(n-1)/2
+    v = catalan(n)
+    return 12 * v + min(v, _CHUNK_RANKS) * (4 + 5 * n * (n - 1) // 2)
 
 
 def _row_numbers(lengths, start: int = 0):
@@ -180,8 +210,8 @@ class FlipGraph(NamedTuple):
 class EdgeRows(NamedTuple):
     """The upward half of a flip graph's rows: row r holds, sorted, the
     targets above r with their centered flags, so each edge is stored
-    once, at its lower end.  The edge exports (dot_lines, csv_lines,
-    graph_json_obj) read it, and nothing else lists edges."""
+    once, at its lower end.  edge_text formats its arrays in process,
+    and edges() lists its edges for graph_json_obj."""
 
     n: int
     mode: str
@@ -314,9 +344,10 @@ def component_census(n: int, mode: str = "all", threads: int = 1,
     up and degree, one to the degree of each target, and each of its
     edges to the union-find forest, and is then dropped; a last sweep
     points every vertex at its root.  Identical for any thread count;
-    mem_budget is checked against the full graph's estimate.
+    mem_budget is checked against _census_bytes, the three arrays and
+    one chunk.
     """
-    _check(n, mode, threads, mem_budget)
+    _check(n, mode, threads, mem_budget, _census_bytes)
     v = catalan(n)
     root, up = array("i", range(v)), array("i")
     degree = array("i", [0]) * v
@@ -344,17 +375,19 @@ def component_census(n: int, mode: str = "all", threads: int = 1,
     return Census(n, mode, _finish(root), up, degree, centered)
 
 
-def _check(n: int, mode: str, threads: int, mem_budget: int | None) -> None:
-    """Reject bad arguments, and a graph whose estimate exceeds mem_budget."""
+def _check(n: int, mode: str, threads: int, mem_budget: int | None,
+           estimate: Callable[[int], int]) -> None:
+    """Reject bad arguments, and a run whose estimate(n) in bytes
+    exceeds mem_budget."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if mem_budget is not None and _estimate_bytes(n) > mem_budget:
+    if mem_budget is not None and (need := estimate(n)) > mem_budget:
         raise ResourceLimitError(
-            f"graph for n={n} needs an estimated {_estimate_bytes(n)} bytes, "
+            f"graph for n={n} needs an estimated {need} bytes, "
             f"over the budget of {mem_budget}")
 
 
@@ -371,7 +404,7 @@ def _build_rows(n: int, mode: str, threads: int, mem_budget: int | None,
     """Offsets, targets and flags of every row, or of the upward rows:
     from one _chunk_rows call over all ranks, or appended chunk by chunk
     from threads forked workers."""
-    _check(n, mode, threads, mem_budget)
+    _check(n, mode, threads, mem_budget, _estimate_bytes)
     v = catalan(n)
     if threads == 1 or v < 4 * threads:
         counts, targets, flags = _chunk_rows((n, mode, 0, v, upward))
@@ -389,18 +422,30 @@ def _build_rows(n: int, mode: str, threads: int, mem_budget: int | None,
 
 
 def _forked(jobs: list[tuple], threads: int, take) -> None:
-    """Run the _chunk_rows jobs in threads forked workers and call
-    take(counts, targets, flags) on each chunk in rank order, with the
-    targets and flags as raw bytes.
+    """Run the _chunk_rows jobs in threads forked workers (see _workers)
+    and call take(counts, targets, flags) on each chunk in rank order,
+    with the targets and flags as raw bytes.  A full pipe holds each
+    worker about one chunk ahead, so besides what take keeps the parent
+    holds about one chunk."""
+    with _workers(jobs, threads) as readers:
+        for (_, _, start, stop, _), src in zip(jobs, cycle(readers)):
+            counts = array("i", _read(src, 4 * (stop - start)))
+            arcs = sum(counts)
+            take(counts, _read(src, 4 * arcs), _read(src, arcs))
 
-    Worker w builds jobs w, w + threads, ... and writes each chunk's row
-    counts, targets and flags to its own pipe.  The parent reads the
-    chunks in rank order, and a full pipe holds each worker about one
-    chunk ahead, so besides what take keeps the parent holds about one
-    chunk.  However the run ends, the parent closes every pipe, kills the
-    workers if it is unwinding from an error, and reaps them all; a
-    worker's MemoryError is raised again as MemoryError, and any other
-    worker failure or short read as WorkerError, a RuntimeError.
+
+@contextmanager
+def _workers(jobs: list[tuple], threads: int, text: Callable | None = None):
+    """Fork threads workers over the _chunk_rows jobs and yield their
+    pipes' read ends: worker w runs jobs w, w + threads, ... and writes
+    to the w-th, as _worker says.
+
+    The caller reads the chunks in rank order, job k from reader k mod
+    threads, and lets the EOFError of a short read end the block: the
+    workers' statuses say why.  However it ends, every pipe is closed, the workers are killed if the block did
+    not finish, and all of them are reaped; a worker's MemoryError is
+    raised again as MemoryError, and any other worker failure or short
+    read as WorkerError, a RuntimeError.
     """
     pids, readers, done = [], [], False
     try:
@@ -409,13 +454,9 @@ def _forked(jobs: list[tuple], threads: int, take) -> None:
             readers.append(open(rfd, "rb"))
             with open(wfd, "wb") as out:
                 if not (pid := os.fork()):
-                    _worker(out, jobs[w::threads], readers)
+                    _worker(out, jobs[w::threads], readers, text)
             pids.append(pid)
-        # job k comes from worker k mod threads
-        for (_, _, start, stop, _), src in zip(jobs, cycle(readers)):
-            counts = array("i", _read(src, 4 * (stop - start)))
-            arcs = sum(counts)
-            take(counts, _read(src, 4 * arcs), _read(src, arcs))
+        yield readers
         done = True
     except EOFError:
         pass                            # a worker died: its status says why
@@ -431,6 +472,48 @@ def _forked(jobs: list[tuple], threads: int, take) -> None:
         raise MemoryError("a graph build worker ran out of memory")
     if not done or any(codes):
         raise WorkerError(f"graph build workers exited with {codes}")
+
+
+@contextmanager
+def edge_text(n: int, mode: str, threads: int, mem_budget: int | None,
+              text: Callable[..., Iterator[str]]):
+    """Yield (edge count, text) for build_edge_rows's edges, where text
+    runs, in rank order, over every string that the edge formatter
+    text(start, counts, targets, flags) yields for a run of upward rows
+    from rank start on, whose lengths are counts.
+
+    With threads == 1, or too few ranks to split, the rows are built
+    here as one EdgeRows and formatted as one run.  Otherwise each forked
+    worker builds its own chunks' rows, keeps them, and writes their edge
+    counts, then their text; the parent sums the counts and yields the
+    text as the workers' frames arrive, so it never holds the rows and
+    the workers do the formatting.  The text is read lazily: use it
+    inside the with block.  A worker that fails while building raises on
+    entry, before any text; one that fails while formatting raises at
+    the end of the block, after part of the text.  mem_budget is checked
+    against the full graph's estimate before anything is built.
+    """
+    _check(n, mode, threads, mem_budget, _estimate_bytes)
+    if threads == 1 or catalan(n) < 4 * threads:
+        g = build_edge_rows(n, mode)
+        off = g.offsets
+        yield g.edge_count, text(0, map(sub, islice(off, 1, None), off),
+                                 g.targets, g.flags)
+        return
+    jobs = _jobs(n, mode, threads, True)
+    with _workers(jobs, threads, text) as readers:
+        edges = array("q")
+        for w, src in enumerate(readers):
+            edges.frombytes(_read(src, 8 * len(jobs[w::threads])))
+        yield sum(edges), _frames(readers, len(jobs))
+
+
+def _frames(readers: list[BinaryIO], chunks: int) -> Iterator[str]:
+    """The text frames of chunks chunks, chunk k from reader k mod
+    len(readers), each chunk's frames up to its zero length."""
+    for src in islice(cycle(readers), chunks):
+        while size := int.from_bytes(_read(src, 4), "little"):
+            yield _read(src, size).decode()
 
 
 def _bfs(g: FlipGraph, src: int, dist: array | list[int]) -> array:
@@ -576,24 +659,6 @@ def diameter(g: FlipGraph, exact_limit: int = 6000, samples: int = 32,
         if ecc2 > lower:
             lower, witness = ecc2, (far, far2)
     return DiameterResult(True, False, None, lower, upper, witness)
-
-
-_DOT_EDGE = ("  %d -- %d [style=dashed];", "  %d -- %d [style=solid];")
-
-
-def dot_lines(g: EdgeRows) -> Iterator[str]:
-    """Graphviz form; centered flips solid, other flips dashed."""
-    yield f'graph "flips_n{g.n}_{g.mode}" {{'
-    yield "  node [shape=box];"
-    yield from map('  %d [label="%s"];'.__mod__, enumerate(dyck_words(g.n)))
-    for r, s, cen in g.edges():
-        yield _DOT_EDGE[cen] % (r, s)
-    yield "}"
-
-
-def csv_lines(g: EdgeRows) -> Iterator[str]:
-    return chain(("src_rank,dst_rank,centered",),
-                 map("%d,%d,%d".__mod__, g.edges()))
 
 
 def graph_json_obj(g: EdgeRows) -> dict:

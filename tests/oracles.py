@@ -364,3 +364,20 @@ def csr_edges(offsets, targets, flags) -> list:
             if r < s:
                 out.append((r, s, bool(flags[i])))
     return out
+
+
+def dot_lines(n: int, mode: str, edges) -> list:
+    """The `graph --format dot` lines of the graph of n and mode with the
+    (src, dst, flag) edges: centered flips solid, other flips dashed,
+    one f-string per line."""
+    lines = [f'graph "flips_n{n}_{mode}" {{', "  node [shape=box];"]
+    lines += [f'  {r} [label="{w}"];' for r, w in enumerate(successor_words(n))]
+    lines += [f"  {r} -- {s} [style={'solid' if cen else 'dashed'}];"
+              for r, s, cen in edges]
+    return lines + ["}"]
+
+
+def csv_lines(edges) -> list:
+    """The `graph --format csv` lines of the (src, dst, flag) edges."""
+    return (["src_rank,dst_rank,centered"]
+            + [f"{r},{s},{int(cen)}" for r, s, cen in edges])

@@ -4,8 +4,10 @@ import ast
 import hashlib
 import importlib
 import json
+import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 from types import ModuleType
 
@@ -16,10 +18,12 @@ from matchflip.cli import main
 from matchflip.counts import MEASURED, verify_counts
 from matchflip.dyck import enumerate_matchings, to_dyck
 from matchflip.flips import make_flip
-from matchflip.graphs import (MODES, build_edge_rows, csv_lines, diameter,
-                              dot_lines, graph_json_obj)
+from matchflip.graphs import (MODES, _census_bytes, build_edge_rows,
+                              diameter, edge_text, graph_json_obj)
 
-from conftest import _fault_on_job, cached_graph, oracle_edge_rows
+import oracles
+from conftest import (_fault_on_job, cached_graph, full_edges,
+                      oracle_edge_rows)
 
 
 def run(capsys, *argv):
@@ -206,6 +210,69 @@ def test_failed_build_worker_exits_4(capfd, monkeypatch):
     assert err.count("Traceback") == 1 and "ValueError: bad chunk" in err
     assert err.splitlines()[-1].startswith(
         "matchflip: graph build workers exited with [1, ")
+
+
+def _fault_on_last_text(monkeypatch, exc):
+    """Make the edge formatter raise exc on the chunk that ends at the
+    last rank of n = 9; it runs in the worker that owns that chunk."""
+    edge_chunks = cli._edge_chunks
+
+    def faulty(form, sep, labels, start, lengths, *rest):
+        if start + len(lengths) == counts.catalan(9):
+            raise exc
+        return edge_chunks(form, sep, labels, start, lengths, *rest)
+    monkeypatch.setattr(cli, "_edge_chunks", faulty)
+
+
+@pytest.mark.parametrize("phase", ["build", "format"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
+def test_failed_export_worker_exits_4(capfd, monkeypatch, fmt, phase):
+    # a worker that fails while it builds its rows fails the export before
+    # any output; one that fails while it formats the last chunk fails it
+    # after the header and the chunks before, which stay printed
+    argv = ["graph", "--n", "9", "--threads", "2", "--format", fmt]
+    assert main(argv) == 0
+    full = capfd.readouterr().out
+    if phase == "build":
+        _fault_on_job(monkeypatch, ValueError("bad chunk"),
+                      lambda start, stop: start == 0)
+    else:
+        _fault_on_last_text(monkeypatch, ValueError("bad chunk"))
+    code = main(argv)
+    out, err = capfd.readouterr()
+    assert code == 4
+    assert err.count("Traceback") == 1 and "ValueError: bad chunk" in err
+    last = err.splitlines()[-1]
+    assert last.startswith("matchflip: graph build workers exited with [")
+    if phase == "build":
+        assert out == "" and last.endswith("[1, -9]")
+    else:
+        assert 0 < len(out) < len(full) and full.startswith(out)
+        assert last.endswith(", 1]")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--format", "json"], ["graph", "--format", "csv"],
+    ["graph", "--format", "dot"], ["graph", "--format", "table"],
+    ["stats"], ["verify"], ["rainbow", "--n", "6", "--r", "2"]],
+    ids=["json", "csv", "dot", "table", "stats", "verify", "rainbow"])
+def test_commands_leave_no_process(capsys, monkeypatch, argv):
+    # every command that forks build workers reaps them all
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    n = [] if "--n" in argv else ["--n", "7"]
+    assert main([*argv, *n, "--threads", "2"]) == 0
+    capsys.readouterr()
+    assert forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_rainbow_passes_threads_and_budget_to_its_build(capsys,
@@ -441,23 +508,42 @@ def test_out_file_matches_stdout(tmp_path, capsys):
 @pytest.mark.parametrize("n", range(1, 11))
 @pytest.mark.parametrize("mode", MODES)
 def test_streamed_graph_json_matches_dump(n, mode):
-    # n = 1 has no edges ("edges": []); n >= 8 is beyond the golden digests
-    rows = build_edge_rows(n, mode, threads=2 if n >= 10 else 1)
-    assert ("".join(cli._graph_json(rows))
-            == cli._dump(graph_json_obj(oracle_edge_rows(n, mode))))
+    # n = 1 has no edges ("edges": []); n >= 8 is beyond the golden
+    # digests; at n = 10 two workers format the edges
+    text = partial(cli._edge_chunks, *cli._EDGE_FORMS["json"])
+    with edge_text(n, mode, 2 if n >= 10 else 1, None, text) as (count, edges):
+        got = "".join(cli._graph_json(n, mode, count, edges))
+    assert got == cli._dump(graph_json_obj(oracle_edge_rows(n, mode)))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("mode", MODES)
 def test_csv_and_dot_match_the_full_graph(capsys, n, mode):
-    # the exports read the upward rows; the full graph's edges are the
-    # oracle
-    g = oracle_edge_rows(n, mode)
-    for fmt, lines in (("csv", csv_lines), ("dot", dot_lines)):
+    # the exports read the upward rows; the full graph's edges, printed
+    # one line at a time, are the oracle
+    edges = full_edges(cached_graph(n, mode))
+    for fmt, lines in (("csv", oracles.csv_lines(edges)),
+                       ("dot", oracles.dot_lines(n, mode, edges))):
         code, out, _ = run(capsys, "graph", "--n", str(n), "--mode", mode,
                            "--format", fmt)
         assert code == 0
-        assert out == "\n".join(lines(g)) + "\n"
+        assert out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("size", [1, 5, 14, 27, 28, 29])
+def test_edge_chunks_cut_at_any_batch_size(size):
+    # 28 edges: batches of 1, 14 and 28 hold them exactly, 5 and 27 leave
+    # a short last batch; in every format the text is the same
+    rows = build_edge_rows(4, "all")
+    counts = [b - a for a, b in zip(rows.offsets, rows.offsets[1:])]
+    assert rows.edge_count == 28
+    for form in cli._EDGE_FORMS.values():
+        whole = list(cli._edge_chunks(*form, 0, counts, rows.targets,
+                                      rows.flags))
+        cut = list(cli._edge_chunks(*form, 0, counts, rows.targets,
+                                    rows.flags, size))
+        assert len(whole) == 1 and len(cut) == -(-28 // size)
+        assert form[1].join(cut) == whole[0]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
@@ -553,16 +639,19 @@ def _peak_by_threads(build: str) -> dict:
     return peak_kib
 
 
-# VmHWM from just before main() to exit: what the command itself adds
+# VmHWM at exit, the largest ru_maxrss of the workers (0 without any),
+# and last the rise of VmHWM from just before main() to exit: what the
+# command itself adds
 _PEAK_RISE = """
-import sys
+import resource, sys
 from matchflip.cli import main
 def hwm():
     with open("/proc/self/status") as fh:
         return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM"))
 before = hwm()
 code = main(sys.argv[1:])
-print(hwm() - before, file=sys.stderr)
+workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(hwm(), workers, hwm() - before, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -592,6 +681,52 @@ def test_verify_holds_less_than_the_full_graph():
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     assert proc.returncode == 0
     assert int(proc.stderr.split()[-1]) <= 2048
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs /proc/self/status")
+@pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
+def test_graph_export_parent_holds_no_rows(fmt):
+    # with two workers the parent never holds the upward rows, C_11 + 1
+    # offsets and 497,420 edges at 5 bytes, 2.82 MiB: its rise stays below
+    # half of them (measured: json 0.8, csv 0.1, dot 1.0-1.2 MiB, from
+    # the words and labels), and the workers, which keep and format only
+    # their own chunks, peak below the parent
+    rows_kib = (8 * (counts.catalan(11) + 1) + 5 * 497_420) / 1024
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RISE, "graph", "--n", "11", "--mode",
+         "all", "--threads", "2", "--format", fmt],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0
+    peak, workers, rise = map(int, proc.stderr.split()[-3:])
+    assert rise < rows_kib / 2
+    assert 0 < workers < peak
+
+
+# VmHWM rise, in bytes, of graphs.component_census(n, mode)
+_CENSUS_RISE = """
+import sys
+from matchflip import graphs
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM"))
+before = hwm()
+graphs.component_census(int(sys.argv[1]), sys.argv[2])
+print(1024 * (hwm() - before))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs /proc/self/status")
+@pytest.mark.parametrize("n, mode", [(10, "all"), (11, "all"),
+                                     (12, "centered")])
+def test_census_estimate_bounds_its_memory(n, mode):
+    # --mem-budget checks the census against _census_bytes, 12 bytes per
+    # vertex and one chunk, not the full graph's estimate (26 MB at n = 12)
+    proc = subprocess.run([sys.executable, "-c", _CENSUS_RISE, str(n), mode],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert int(proc.stdout) <= _census_bytes(n)
 
 
 def test_output_is_deterministic(capsys):

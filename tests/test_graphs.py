@@ -11,6 +11,7 @@ from functools import lru_cache
 import pytest
 
 from matchflip import graphs
+from matchflip.cli import main
 from matchflip.counts import MEASURED, catalan
 from matchflip.dyck import (_unrank_word, enumerate_matchings, rank, to_dyck,
                             unrank)
@@ -18,8 +19,8 @@ from matchflip.errors import ResourceLimitError
 from matchflip.flips import is_centered
 from matchflip.graphs import (EdgeRows, FlipGraph, _farthest, bfs_distances,
                               build_edge_rows, build_flip_graph,
-                              component_census, component_report, csv_lines,
-                              diameter, dot_lines, graph_json_obj)
+                              component_census, component_report, diameter,
+                              graph_json_obj)
 
 import oracles
 from conftest import (_fault_on_job, cached_census, cached_graph,
@@ -152,6 +153,19 @@ def test_memory_budget_is_enforced_before_allocation():
         component_census(8, mem_budget=1024)
     g = build_flip_graph(4, mem_budget=10 ** 8)
     assert g.vertex_count == 14
+
+
+def test_census_budget_is_the_census_estimate(capsys, monkeypatch):
+    # the census is checked against its own estimate, which is below the
+    # full graph's; a budget under it is refused before any row is built
+    need = graphs._census_bytes(10)
+    assert need < graphs._estimate_bytes(10)
+    assert main(["stats", "--n", "10", "--mem-budget", str(need)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(graphs, "_chunk_rows", None)
+    assert main(["stats", "--n", "10", "--mem-budget", str(need - 1)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and f"needs an estimated {need} bytes" in err
 
 
 # every chunk but the first starts the flip stream mid-order; at n = 10
@@ -595,9 +609,14 @@ def test_edges_equal_nested_loop_oracle_on_small_csr(full, upward):
     assert len(got) == rows.edge_count
 
 
-def test_dot_output_shape():
+def _export(capsys, n: int, fmt: str) -> list[str]:
+    assert main(["graph", "--n", str(n), "--format", fmt]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_dot_output_shape(capsys):
     g = cached_graph(3, "all")
-    lines = list(dot_lines(build_edge_rows(3, "all")))
+    lines = _export(capsys, 3, "dot")
     assert lines[0].startswith("graph ") and lines[-1] == "}"
     labels = [ln for ln in lines if "label=" in ln]
     assert len(labels) == g.vertex_count
@@ -608,9 +627,9 @@ def test_dot_output_shape():
     assert solid + dashed == len(g.targets) // 2
 
 
-def test_csv_round_trips_edges():
+def test_csv_round_trips_edges(capsys):
     g = cached_graph(4, "all")
-    lines = list(csv_lines(build_edge_rows(4, "all")))
+    lines = _export(capsys, 4, "csv")
     assert lines[0] == "src_rank,dst_rank,centered"
     parsed = [tuple(int(x) for x in ln.split(",")) for ln in lines[1:]]
     assert parsed == [(r, s, int(c)) for r, s, c in full_edges(g)]

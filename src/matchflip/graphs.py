@@ -442,10 +442,11 @@ def _workers(jobs: list[tuple], threads: int, text: Callable | None = None):
 
     The caller reads the chunks in rank order, job k from reader k mod
     threads, and lets the EOFError of a short read end the block: the
-    workers' statuses say why.  However it ends, every pipe is closed, the workers are killed if the block did
-    not finish, and all of them are reaped; a worker's MemoryError is
-    raised again as MemoryError, and any other worker failure or short
-    read as WorkerError, a RuntimeError.
+    workers' statuses say why.  However it ends, every pipe is closed,
+    the workers are killed if the block did not finish, and all of them
+    are reaped; a worker's MemoryError is raised again as MemoryError,
+    and any other worker failure or short read as WorkerError, a
+    RuntimeError.
     """
     pids, readers, done = [], [], False
     try:
@@ -509,8 +510,8 @@ def edge_text(n: int, mode: str, threads: int, mem_budget: int | None,
 
 
 def _frames(readers: list[BinaryIO], chunks: int) -> Iterator[str]:
-    """The text frames of chunks chunks, chunk k from reader k mod
-    len(readers), each chunk's frames up to its zero length."""
+    """The text frames of the first chunks jobs in rank order: job k's
+    from reader k mod len(readers), up to its zero length."""
     for src in islice(cycle(readers), chunks):
         while size := int.from_bytes(_read(src, 4), "little"):
             yield _read(src, size).decode()

@@ -371,7 +371,8 @@ def dot_lines(n: int, mode: str, edges) -> list:
     (src, dst, flag) edges: centered flips solid, other flips dashed,
     one f-string per line."""
     lines = [f'graph "flips_n{n}_{mode}" {{', "  node [shape=box];"]
-    lines += [f'  {r} [label="{w}"];' for r, w in enumerate(successor_words(n))]
+    lines += [f'  {r} [label="{w}"];'
+              for r, w in enumerate(successor_words(n))]
     lines += [f"  {r} -- {s} [style={'solid' if cen else 'dashed'}];"
               for r, s, cen in edges]
     return lines + ["}"]

@@ -511,8 +511,9 @@ def test_streamed_graph_json_matches_dump(n, mode):
     # n = 1 has no edges ("edges": []); n >= 8 is beyond the golden
     # digests; at n = 10 two workers format the edges
     text = partial(cli._edge_chunks, *cli._EDGE_FORMS["json"])
-    with edge_text(n, mode, 2 if n >= 10 else 1, None, text) as (count, edges):
-        got = "".join(cli._graph_json(n, mode, count, edges))
+    threads = 2 if n >= 10 else 1
+    with edge_text(n, mode, threads, None, text) as (edge_count, edges):
+        got = "".join(cli._graph_json(n, mode, edge_count, edges))
     assert got == cli._dump(graph_json_obj(oracle_edge_rows(n, mode)))
 
 
@@ -535,12 +536,12 @@ def test_edge_chunks_cut_at_any_batch_size(size):
     # 28 edges: batches of 1, 14 and 28 hold them exactly, 5 and 27 leave
     # a short last batch; in every format the text is the same
     rows = build_edge_rows(4, "all")
-    counts = [b - a for a, b in zip(rows.offsets, rows.offsets[1:])]
+    lengths = [b - a for a, b in zip(rows.offsets, rows.offsets[1:])]
     assert rows.edge_count == 28
     for form in cli._EDGE_FORMS.values():
-        whole = list(cli._edge_chunks(*form, 0, counts, rows.targets,
+        whole = list(cli._edge_chunks(*form, 0, lengths, rows.targets,
                                       rows.flags))
-        cut = list(cli._edge_chunks(*form, 0, counts, rows.targets,
+        cut = list(cli._edge_chunks(*form, 0, lengths, rows.targets,
                                     rows.flags, size))
         assert len(whole) == 1 and len(cut) == -(-28 // size)
         assert form[1].join(cut) == whole[0]

@@ -690,7 +690,7 @@ def test_verify_holds_less_than_the_full_graph():
 def test_graph_export_parent_holds_no_rows(fmt):
     # with two workers the parent never holds the upward rows, C_11 + 1
     # offsets and 497,420 edges at 5 bytes, 2.82 MiB: its rise stays below
-    # half of them (measured: json 0.8, csv 0.1, dot 1.0-1.2 MiB, from
+    # half of them (measured: json 0.7, csv 0.3, dot 0.4-0.7 MiB, from
     # the words and labels), and the workers, which keep and format only
     # their own chunks, peak below the parent
     rows_kib = (8 * (counts.catalan(11) + 1) + 5 * 497_420) / 1024

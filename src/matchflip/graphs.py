@@ -119,9 +119,11 @@ def _estimate_bytes(n: int) -> int:
 
 def _census_bytes(n: int) -> int:
     # 12 bytes per vertex, and one chunk of upward rows: 4 bytes per row
-    # and 5 per edge, and no row longer than the largest degree, n(n-1)/2
+    # and 6 per edge (its target, and its flag twice, as _chunk_rows
+    # copies the flags into bytes), and no row longer than the largest
+    # degree, n(n-1)/2
     v = catalan(n)
-    return 12 * v + min(v, _CHUNK_RANKS) * (4 + 5 * n * (n - 1) // 2)
+    return 12 * v + min(v, _CHUNK_RANKS) * (4 + 6 * n * (n - 1) // 2)
 
 
 def _row_numbers(lengths, start: int = 0):
@@ -349,14 +351,15 @@ def component_census(n: int, mode: str = "all", threads: int = 1,
     """
     _check(n, mode, threads, mem_budget, _census_bytes)
     v = catalan(n)
-    root, up = array("i", range(v)), array("i")
+    # up and degree are allocated whole, so growing up leaves no freed
+    # copies behind in the heap
+    root, up = array("i", range(v)), array("i", [0]) * v
     degree = array("i", [0]) * v
-    centered = 0
+    centered = start = 0
 
     def take(counts: array, targets, flags: bytes) -> None:
-        nonlocal centered
-        start = len(up)
-        up.extend(counts)
+        nonlocal centered, start
+        up[start:start + len(counts)] = counts
         for r, k in zip(count(start), counts):
             degree[r] += k
         # targets come as an array("i") from here and as bytes from a pipe
@@ -365,6 +368,7 @@ def component_census(n: int, mode: str = "all", threads: int = 1,
             degree[y] += 1
         _union(root, zip(_row_numbers(counts, start), targets))
         centered += flags.count(1)
+        start += len(counts)
 
     jobs = _jobs(n, mode, threads, True)
     if threads == 1 or v < 4 * threads:

@@ -6,7 +6,7 @@ Every prediction and every check that re-derives one lives in `counts`;
 Same flags, same bytes: every command is deterministic.  Exit codes:
 0 success, 1 usage error, 2 verification mismatch, 3 search budget
 exhausted, 4 resource limit (memory budget, IO, a failed build worker;
-a graph export whose worker fails while formatting has by then printed
+a graph export whose worker dies after the header has by then printed
 part of its text).
 """
 

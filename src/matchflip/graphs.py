@@ -8,10 +8,9 @@ centered ones.  Three views come from one build of each row's flips:
   array, holds both ends of every edge; the BFS kernels that measure
   distances walk it.
 - EdgeRows, a tuple of the same five fields, keeps only each row's
-  targets above it, each edge once.  edge_text hands the upward rows to
-  an edge formatter: in process as one EdgeRows, or, with threads > 1,
-  chunk by chunk in the forked workers, whose text the parent copies
-  without ever holding the rows.
+  targets above it, each edge once, for graph_json_obj.  edge_text hands
+  the upward rows to an edge formatter chunk by chunk, as _chunks reads
+  them, so with threads > 1 the parent holds one chunk at a time.
 - Census holds, per vertex, the smallest rank of its component, its
   edges to higher ranks and its degree, from one union-find pass over
   the upward rows, which it does not keep: 12 bytes per vertex for the
@@ -25,7 +24,8 @@ import random
 from array import array
 from collections import Counter
 from contextlib import contextmanager
-from itertools import accumulate, chain, compress, count, cycle, islice, repeat
+from itertools import (accumulate, chain, compress, count, cycle, islice,
+                       repeat, starmap)
 from operator import itemgetter, sub
 from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn
 
@@ -59,26 +59,29 @@ def _chunk_rows(args) -> tuple[array, array, bytes]:
 
 
 def _worker(out: BinaryIO, jobs: list[tuple], inherited: list,
-            text: Callable | None) -> NoReturn:
+            hold: bool) -> NoReturn:
     """Body of a forked build worker; it never returns.
 
     It closes the read ends it inherited and writes to out, for each job,
-    the row counts, targets and flags, or with text, what _send_text
-    writes.  It ends with os._exit, so it neither flushes the stdio
-    buffers it inherited nor runs atexit.  MemoryError exits with
-    _EXIT_NO_MEMORY; any other error prints its traceback to fd 2 and
-    exits with 1.
+    the row counts, targets and flags.  With hold it first builds every
+    job and keeps them, and writes their edge counts as an array("q").
+    It ends with os._exit, so it neither flushes the stdio buffers it
+    inherited nor runs atexit.  MemoryError exits with _EXIT_NO_MEMORY;
+    any other error prints its traceback to fd 2 and exits with 1.
     """
     status = 1
     try:
         for src in inherited:
             src.close()
-        if text is None:
-            for job in jobs:
-                out.writelines(_chunk_rows(job))
-        else:
-            _send_text(out, jobs, text)
-        out.close()
+        chunks = map(_chunk_rows, jobs)
+        if hold:
+            chunks = list(chunks)
+            out.write(array("q", [len(targets) for _, targets, _ in chunks]))
+        for chunk in chunks:
+            out.writelines(chunk)
+        # flushed, not closed: os._exit closes the pipe after it has set
+        # the status, so a kill after the parent's last read leaves it 0
+        out.flush()
         status = 0
     except MemoryError:
         status = _EXIT_NO_MEMORY
@@ -87,20 +90,6 @@ def _worker(out: BinaryIO, jobs: list[tuple], inherited: list,
         os.write(2, traceback.format_exc().encode())
     finally:
         os._exit(status)
-
-
-def _send_text(out: BinaryIO, jobs: list[tuple], text: Callable) -> None:
-    """Build the upward rows of every job and keep them; write each
-    chunk's edge count as an array("q"), then each chunk's text: every
-    string that text(start, counts, targets, flags) yields, encoded
-    after its 4-byte length, and a zero length to end the chunk."""
-    chunks = [_chunk_rows(job) for job in jobs]
-    out.write(array("q", [len(targets) for _, targets, _ in chunks]))
-    for (_, _, start, _, _), chunk in zip(jobs, chunks):
-        for frame in text(start, *chunk):
-            data = frame.encode()
-            out.writelines((len(data).to_bytes(4, "little"), data))
-        out.write(bytes(4))
 
 
 def _read(src: BinaryIO, size: int) -> bytes:
@@ -212,8 +201,7 @@ class FlipGraph(NamedTuple):
 class EdgeRows(NamedTuple):
     """The upward half of a flip graph's rows: row r holds, sorted, the
     targets above r with their centered flags, so each edge is stored
-    once, at its lower end.  edge_text formats its arrays in process,
-    and edges() lists its edges for graph_json_obj."""
+    once, at its lower end; edges() lists its edges for graph_json_obj."""
 
     n: int
     mode: str
@@ -317,22 +305,25 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
                      mem_budget: int | None = None) -> FlipGraph:
     """Enumerate all matchings of size n and wire up their flips.
 
-    threads > 1 forks worker processes (see _forked); the result is
+    In process the rows come from one _chunk_rows call over all ranks,
+    whose arrays become the CSR; with threads forked workers they are
+    appended chunk by chunk as _chunks reads them.  The result is
     byte-identical for any thread count.  mem_budget (bytes) is checked
     against a size estimate before any allocation.
     """
-    return FlipGraph(n, mode, *_build_rows(n, mode, threads, mem_budget,
-                                           False))
-
-
-def build_edge_rows(n: int, mode: str = "all", threads: int = 1,
-                    mem_budget: int | None = None) -> EdgeRows:
-    """The upward rows of build_flip_graph's graph: each edge once, built
-    once, with half the arcs of the full rows in the kernel, the pipes
-    and the merge.  Byte-identical for any thread count; mem_budget is
-    checked against the full graph's estimate."""
-    return EdgeRows(n, mode, *_build_rows(n, mode, threads, mem_budget,
-                                          True))
+    _check(n, mode, threads, mem_budget, _estimate_bytes)
+    if not _forks(n, threads):
+        counts, targets, flags = _chunk_rows((n, mode, 0, catalan(n), False))
+        return FlipGraph(n, mode, array("q", accumulate(counts, initial=0)),
+                         targets, flags)
+    offsets, targets, flags = array("q", [0]), array("i"), bytearray()
+    with _chunks(n, mode, threads, False, False) as (_, chunks):
+        for _, counts, chunk_targets, chunk_flags in chunks:
+            # a chunk's offsets go on from the last one
+            offsets.extend(accumulate(counts, initial=offsets.pop()))
+            targets.extend(chunk_targets)
+            flags.extend(chunk_flags)
+    return FlipGraph(n, mode, offsets, targets, bytes(flags))
 
 
 def component_census(n: int, mode: str = "all", threads: int = 1,
@@ -340,14 +331,12 @@ def component_census(n: int, mode: str = "all", threads: int = 1,
     """Degrees and components of build_flip_graph's graph without its
     rows.
 
-    The upward rows arrive one chunk of ranks at a time, from threads
-    forked workers (see _forked) or, with threads == 1, from the same
-    jobs run here one after another.  Each chunk adds its row lengths to
-    up and degree, one to the degree of each target, and each of its
-    edges to the union-find forest, and is then dropped; a last sweep
-    points every vertex at its root.  Identical for any thread count;
-    mem_budget is checked against _census_bytes, the three arrays and
-    one chunk.
+    The upward rows arrive one chunk of ranks at a time from _chunks.
+    Each chunk adds its row lengths to up and degree, one to the degree
+    of each target, and each of its edges to the union-find forest, and
+    is then dropped; a last sweep points every vertex at its root.
+    Identical for any thread count; mem_budget is checked against
+    _census_bytes, the three arrays and one chunk.
     """
     _check(n, mode, threads, mem_budget, _census_bytes)
     v = catalan(n)
@@ -355,27 +344,16 @@ def component_census(n: int, mode: str = "all", threads: int = 1,
     # copies behind in the heap
     root, up = array("i", range(v)), array("i", [0]) * v
     degree = array("i", [0]) * v
-    centered = start = 0
-
-    def take(counts: array, targets, flags: bytes) -> None:
-        nonlocal centered, start
-        up[start:start + len(counts)] = counts
-        for r, k in zip(count(start), counts):
-            degree[r] += k
-        # targets come as an array("i") from here and as bytes from a pipe
-        targets = memoryview(targets).cast("B").cast("i")
-        for y in targets:
-            degree[y] += 1
-        _union(root, zip(_row_numbers(counts, start), targets))
-        centered += flags.count(1)
-        start += len(counts)
-
-    jobs = _jobs(n, mode, threads, True)
-    if threads == 1 or v < 4 * threads:
-        for job in jobs:
-            take(*_chunk_rows(job))
-    else:
-        _forked(jobs, threads, take)
+    centered = 0
+    with _chunks(n, mode, threads, True, False) as (_, chunks):
+        for start, counts, targets, flags in chunks:
+            up[start:start + len(counts)] = counts
+            for r, k in zip(count(start), counts):
+                degree[r] += k
+            for y in targets:
+                degree[y] += 1
+            _union(root, zip(_row_numbers(counts, start), targets))
+            centered += flags.count(1)
     return Census(n, mode, _finish(root), up, degree, centered)
 
 
@@ -403,46 +381,58 @@ def _jobs(n: int, mode: str, threads: int, upward: bool) -> list[tuple]:
     return [(n, mode, s, min(s + size, v), upward) for s in range(0, v, size)]
 
 
-def _build_rows(n: int, mode: str, threads: int, mem_budget: int | None,
-                upward: bool) -> tuple[array, array, bytes]:
-    """Offsets, targets and flags of every row, or of the upward rows:
-    from one _chunk_rows call over all ranks, or appended chunk by chunk
-    from threads forked workers."""
-    _check(n, mode, threads, mem_budget, _estimate_bytes)
-    v = catalan(n)
-    if threads == 1 or v < 4 * threads:
-        counts, targets, flags = _chunk_rows((n, mode, 0, v, upward))
-        return array("q", accumulate(counts, initial=0)), targets, flags
-    offsets, targets, flags = array("q", [0]), array("i"), bytearray()
-
-    def take(counts: array, chunk_targets: bytes, chunk_flags: bytes) -> None:
-        # a chunk's offsets go on from the last one
-        offsets.extend(accumulate(counts, initial=offsets.pop()))
-        targets.frombytes(chunk_targets)
-        flags.extend(chunk_flags)
-
-    _forked(_jobs(n, mode, threads, upward), threads, take)
-    return offsets, targets, bytes(flags)
-
-
-def _forked(jobs: list[tuple], threads: int, take) -> None:
-    """Run the _chunk_rows jobs in threads forked workers (see _workers)
-    and call take(counts, targets, flags) on each chunk in rank order,
-    with the targets and flags as raw bytes.  A full pipe holds each
-    worker about one chunk ahead, so besides what take keeps the parent
-    holds about one chunk."""
-    with _workers(jobs, threads) as readers:
-        for (_, _, start, stop, _), src in zip(jobs, cycle(readers)):
-            counts = array("i", _read(src, 4 * (stop - start)))
-            arcs = sum(counts)
-            take(counts, _read(src, 4 * arcs), _read(src, arcs))
+def _forks(n: int, threads: int) -> bool:
+    """Whether the rows are built in threads forked workers: only with
+    enough ranks to give each of them 4 chunks."""
+    return threads > 1 and catalan(n) >= 4 * threads
 
 
 @contextmanager
-def _workers(jobs: list[tuple], threads: int, text: Callable | None = None):
+def _chunks(n: int, mode: str, threads: int, upward: bool, hold: bool):
+    """Yield (edges, chunks): chunks runs, in rank order, over the rows
+    (start, counts, targets, flags) of the _chunk_rows jobs, with counts
+    and targets as array("i") and flags as bytes; with hold, edges is
+    their number of edges, which is known before the first chunk is
+    read, and otherwise None.
+
+    In process (see _forks) the jobs run here one after another; with
+    hold they are all built first.  Otherwise threads workers run them
+    (see _workers) and the chunks are read from their pipes, job k from
+    reader k mod threads: a full pipe holds each worker about one chunk
+    ahead, so besides what the caller keeps the parent holds about one
+    chunk.  The chunks are read lazily: use them inside the with block.
+    """
+    jobs = _jobs(n, mode, threads, upward)
+    if not _forks(n, threads):
+        chunks = ((job[2], *_chunk_rows(job)) for job in jobs)
+        if hold:
+            chunks = list(chunks)
+            yield sum(len(targets) for _, _, targets, _ in chunks), chunks
+        else:
+            yield None, chunks
+        return
+    with _workers(jobs, threads, hold) as readers:
+        edges = array("q")
+        if hold:
+            for w, src in enumerate(readers):
+                edges.fromfile(src, len(jobs[w::threads]))
+        yield sum(edges) if hold else None, _read_chunks(jobs, readers)
+
+
+def _read_chunks(jobs: list[tuple], readers: list[BinaryIO]):
+    """The rows of every job, as _chunks yields them, from the pipes."""
+    for (_, _, start, stop, _), src in zip(jobs, cycle(readers)):
+        counts, targets = array("i"), array("i")
+        counts.fromfile(src, stop - start)
+        targets.fromfile(src, sum(counts))
+        yield start, counts, targets, _read(src, len(targets))
+
+
+@contextmanager
+def _workers(jobs: list[tuple], threads: int, hold: bool):
     """Fork threads workers over the _chunk_rows jobs and yield their
     pipes' read ends: worker w runs jobs w, w + threads, ... and writes
-    to the w-th, as _worker says.
+    to the w-th, as _worker says, holding its chunks if hold.
 
     The caller reads the chunks in rank order, job k from reader k mod
     threads, and lets the EOFError of a short read end the block: the
@@ -450,7 +440,8 @@ def _workers(jobs: list[tuple], threads: int, text: Callable | None = None):
     the workers are killed if the block did not finish, and all of them
     are reaped; a worker's MemoryError is raised again as MemoryError,
     and any other worker failure or short read as WorkerError, a
-    RuntimeError.
+    RuntimeError.  Any other exception in the block passes through
+    after the reaping.
     """
     pids, readers, done = [], [], False
     try:
@@ -459,7 +450,7 @@ def _workers(jobs: list[tuple], threads: int, text: Callable | None = None):
             readers.append(open(rfd, "rb"))
             with open(wfd, "wb") as out:
                 if not (pid := os.fork()):
-                    _worker(out, jobs[w::threads], readers, text)
+                    _worker(out, jobs[w::threads], readers, hold)
             pids.append(pid)
         yield readers
         done = True
@@ -482,43 +473,22 @@ def _workers(jobs: list[tuple], threads: int, text: Callable | None = None):
 @contextmanager
 def edge_text(n: int, mode: str, threads: int, mem_budget: int | None,
               text: Callable[..., Iterator[str]]):
-    """Yield (edge count, text) for build_edge_rows's edges, where text
+    """Yield (edge count, text) for the upward rows' edges, where text
     runs, in rank order, over every string that the edge formatter
-    text(start, counts, targets, flags) yields for a run of upward rows
-    from rank start on, whose lengths are counts.
+    text(start, counts, targets, flags) yields for each chunk of _chunks,
+    which holds its rows (hold), so the edge count is known first.
 
-    With threads == 1, or too few ranks to split, the rows are built
-    here as one EdgeRows and formatted as one run.  Otherwise each forked
-    worker builds its own chunks' rows, keeps them, and writes their edge
-    counts, then their text; the parent sums the counts and yields the
-    text as the workers' frames arrive, so it never holds the rows and
-    the workers do the formatting.  The text is read lazily: use it
-    inside the with block.  A worker that fails while building raises on
-    entry, before any text; one that fails while formatting raises at
-    the end of the block, after part of the text.  mem_budget is checked
-    against the full graph's estimate before anything is built.
+    With threads forked workers, each builds its own chunks and keeps
+    them, and the parent formats each chunk as it arrives, so it holds
+    one chunk at a time.  The text is read lazily: use it inside the
+    with block.  A worker that fails while building raises on entry,
+    before any text; a stream that ends early raises at the end of the
+    block, after part of the text.  mem_budget is checked against the
+    full graph's estimate before anything is built.
     """
     _check(n, mode, threads, mem_budget, _estimate_bytes)
-    if threads == 1 or catalan(n) < 4 * threads:
-        g = build_edge_rows(n, mode)
-        off = g.offsets
-        yield g.edge_count, text(0, map(sub, islice(off, 1, None), off),
-                                 g.targets, g.flags)
-        return
-    jobs = _jobs(n, mode, threads, True)
-    with _workers(jobs, threads, text) as readers:
-        edges = array("q")
-        for w, src in enumerate(readers):
-            edges.frombytes(_read(src, 8 * len(jobs[w::threads])))
-        yield sum(edges), _frames(readers, len(jobs))
-
-
-def _frames(readers: list[BinaryIO], chunks: int) -> Iterator[str]:
-    """The text frames of the first chunks jobs in rank order: job k's
-    from reader k mod len(readers), up to its zero length."""
-    for src in islice(cycle(readers), chunks):
-        while size := int.from_bytes(_read(src, 4), "little"):
-            yield _read(src, size).decode()
+    with _chunks(n, mode, threads, True, True) as (edges, chunks):
+        yield edges, chain.from_iterable(starmap(text, chunks))
 
 
 def _bfs(g: FlipGraph, src: int, dist: array | list[int]) -> array:

@@ -1,7 +1,7 @@
 """Shared fixtures: session-wide flip-graph and census caches, the
-graphs' edges from the nested-loop oracle, a build-worker fault injector
-and the acceptance criterion recorder that prints one PASS/FAIL line per
-criterion."""
+graphs' edges from the nested-loop oracle, the upward rows as the chunk
+stream reads them, a build-worker fault injector and the acceptance
+criterion recorder that prints one PASS/FAIL line per criterion."""
 
 from __future__ import annotations
 
@@ -49,6 +49,18 @@ def oracle_edge_rows(n: int, mode: str) -> graphs.EdgeRows:
     return graphs.EdgeRows(n, mode, array("q", offsets),
                            array("i", [s for _, s, _ in edges]),
                            bytes(cen for _, _, cen in edges))
+
+
+def chunked_edge_rows(n: int, mode: str) -> graphs.EdgeRows:
+    """EdgeRows of the upward rows that graphs._chunks reads, appended
+    chunk by chunk."""
+    offsets, targets, flags = array("q", [0]), array("i"), bytearray()
+    with graphs._chunks(n, mode, 1, True, False) as (_, chunks):
+        for _, counts, chunk_targets, chunk_flags in chunks:
+            offsets.extend(accumulate(counts, initial=offsets.pop()))
+            targets.extend(chunk_targets)
+            flags.extend(chunk_flags)
+    return graphs.EdgeRows(n, mode, offsets, targets, bytes(flags))
 
 
 def flip_neighbors(m, mode: str = "all"):

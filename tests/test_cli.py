@@ -13,13 +13,13 @@ from types import ModuleType
 
 import pytest
 
-from matchflip import cli, counts, rainbow
+from matchflip import cli, counts, graphs, rainbow
 from matchflip.cli import main
 from matchflip.counts import MEASURED, verify_counts
 from matchflip.dyck import enumerate_matchings, to_dyck
 from matchflip.flips import make_flip
-from matchflip.graphs import (MODES, _census_bytes, build_edge_rows,
-                              diameter, edge_text, graph_json_obj)
+from matchflip.graphs import (MODES, _census_bytes, diameter, edge_text,
+                              graph_json_obj)
 
 import oracles
 from conftest import (_fault_on_job, cached_graph, full_edges,
@@ -214,7 +214,8 @@ def test_failed_build_worker_exits_4(capfd, monkeypatch):
 
 def _fault_on_last_text(monkeypatch, exc):
     """Make the edge formatter raise exc on the chunk that ends at the
-    last rank of n = 9; it runs in the worker that owns that chunk."""
+    last rank of n = 9; it runs in the parent, after every chunk has
+    been read."""
     edge_chunks = cli._edge_chunks
 
     def faulty(form, sep, labels, start, lengths, *rest):
@@ -224,31 +225,54 @@ def _fault_on_last_text(monkeypatch, exc):
     monkeypatch.setattr(cli, "_edge_chunks", faulty)
 
 
-@pytest.mark.parametrize("phase", ["build", "format"])
+def _short_last_chunk(monkeypatch):
+    """Make the chunk that ends at the last rank of n = 9 claim one edge
+    more than it sends: its worker's stream ends inside that chunk, after
+    the edge counts, which count the targets sent."""
+    # patched before the build, so the forked workers inherit it
+    chunk_rows = graphs._chunk_rows
+
+    def short(args):
+        lengths, targets, flags = chunk_rows(args)
+        if args[3] == counts.catalan(9):
+            lengths[-1] += 1
+        return lengths, targets, flags
+    monkeypatch.setattr(graphs, "_chunk_rows", short)
+
+
+@pytest.mark.parametrize("phase", ["build", "format", "stream"])
 @pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
 def test_failed_export_worker_exits_4(capfd, monkeypatch, fmt, phase):
     # a worker that fails while it builds its rows fails the export before
-    # any output; one that fails while it formats the last chunk fails it
-    # after the header and the chunks before, which stay printed
+    # any output; a formatter that raises in the parent, or a stream that
+    # ends early, fails it after the header and the chunks before, which
+    # stay printed; every worker is reaped either way
     argv = ["graph", "--n", "9", "--threads", "2", "--format", fmt]
     assert main(argv) == 0
     full = capfd.readouterr().out
+    code = None
     if phase == "build":
         _fault_on_job(monkeypatch, ValueError("bad chunk"),
                       lambda start, stop: start == 0)
-    else:
+        code = main(argv)
+    elif phase == "format":
+        # the formatter's error passes through main, after the reaping
         _fault_on_last_text(monkeypatch, ValueError("bad chunk"))
-    code = main(argv)
+        with pytest.raises(ValueError, match="bad chunk"):
+            main(argv)
+    else:
+        _short_last_chunk(monkeypatch)
+        code = main(argv)
     out, err = capfd.readouterr()
-    assert code == 4
-    assert err.count("Traceback") == 1 and "ValueError: bad chunk" in err
-    last = err.splitlines()[-1]
-    assert last.startswith("matchflip: graph build workers exited with [")
     if phase == "build":
-        assert out == "" and last.endswith("[1, -9]")
+        assert (code, out) == (4, "")
+        assert err.count("Traceback") == 1 and "ValueError: bad chunk" in err
+        assert err.splitlines()[-1] == (
+            "matchflip: graph build workers exited with [1, -9]")
     else:
         assert 0 < len(out) < len(full) and full.startswith(out)
-        assert last.endswith(", 1]")
+        assert (code, err) == ((None, "") if phase == "format" else (
+            4, "matchflip: graph build workers exited with [0, 0]\n"))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -479,7 +503,9 @@ def test_every_exported_name_is_read():
                                   ["rainbow", "--n", "6", "--r", "2"],
                                   ["rainbow", "--n", "6", "--r", "1"],
                                   ["verify", "--n", "8"],
-                                  ["verify", "--n", "9"]])
+                                  ["verify", "--n", "9"],
+                                  ["graph", "--n", "9", "--threads", "2"],
+                                  ["stats", "--n", "9", "--threads", "2"]])
 def test_optimized_python_prints_the_same_bytes(argv):
     # python -O strips asserts; no printed result may depend on them
     procs = [subprocess.run([sys.executable, *flags, "-m", "matchflip.cli",
@@ -509,12 +535,14 @@ def test_out_file_matches_stdout(tmp_path, capsys):
 @pytest.mark.parametrize("mode", MODES)
 def test_streamed_graph_json_matches_dump(n, mode):
     # n = 1 has no edges ("edges": []); n >= 8 is beyond the golden
-    # digests; at n = 10 two workers format the edges
+    # digests; two threads build in process at n <= 3, too few ranks to
+    # split, and in two workers from n = 4 on
     text = partial(cli._edge_chunks, *cli._EDGE_FORMS["json"])
-    threads = 2 if n >= 10 else 1
-    with edge_text(n, mode, threads, None, text) as (edge_count, edges):
-        got = "".join(cli._graph_json(n, mode, edge_count, edges))
-    assert got == cli._dump(graph_json_obj(oracle_edge_rows(n, mode)))
+    want = cli._dump(graph_json_obj(oracle_edge_rows(n, mode)))
+    for threads in (1, 2):
+        with edge_text(n, mode, threads, None, text) as (edge_count, edges):
+            got = "".join(cli._graph_json(n, mode, edge_count, edges))
+        assert got == want
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -535,7 +563,7 @@ def test_csv_and_dot_match_the_full_graph(capsys, n, mode):
 def test_edge_chunks_cut_at_any_batch_size(size):
     # 28 edges: batches of 1, 14 and 28 hold them exactly, 5 and 27 leave
     # a short last batch; in every format the text is the same
-    rows = build_edge_rows(4, "all")
+    rows = oracle_edge_rows(4, "all")
     lengths = [b - a for a, b in zip(rows.offsets, rows.offsets[1:])]
     assert rows.edge_count == 28
     for form in cli._EDGE_FORMS.values():
@@ -690,9 +718,9 @@ def test_verify_holds_less_than_the_full_graph():
 def test_graph_export_parent_holds_no_rows(fmt):
     # with two workers the parent never holds the upward rows, C_11 + 1
     # offsets and 497,420 edges at 5 bytes, 2.82 MiB: its rise stays below
-    # half of them (measured: json 0.7, csv 0.3, dot 0.4-0.7 MiB, from
-    # the words and labels), and the workers, which keep and format only
-    # their own chunks, peak below the parent
+    # half of them (measured on a 2-vCPU VM: json 0.47, csv 0.25-0.27,
+    # dot 0.46 MiB, from one chunk, its text and the words or labels), and
+    # the workers, which keep only their own chunks, peak below the parent
     rows_kib = (8 * (counts.catalan(11) + 1) + 5 * 497_420) / 1024
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_RISE, "graph", "--n", "11", "--mode",
@@ -702,6 +730,41 @@ def test_graph_export_parent_holds_no_rows(fmt):
     peak, workers, rise = map(int, proc.stderr.split()[-3:])
     assert rise < rows_kib / 2
     assert 0 < workers < peak
+
+
+class _CountedReads:
+    """A read end that records the size of every read made from it."""
+
+    def __init__(self, src, sizes: list):
+        self.src, self.sizes = src, sizes
+
+    def read(self, size: int) -> bytes:
+        got = self.src.read(size)
+        self.sizes.append(len(got))
+        return got
+
+    def close(self) -> None:
+        self.src.close()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
+def test_graph_export_parent_reads_one_chunk_at_a_time(tmp_path, monkeypatch,
+                                                       fmt):
+    # VmHWM moves by a few hundred KiB from run to run; the largest single
+    # read from a worker's pipe is counted exactly: at most one chunk's
+    # worst case, 2,048 rows of n(n-1)/2 edges at 4 + 5 bytes per row and
+    # edge, and under a tenth of the 2.82 MiB of upward rows at n = 11
+    sizes = []
+
+    def counted_open(fd, mode):
+        src = open(fd, mode)
+        return _CountedReads(src, sizes) if mode == "rb" else src
+    monkeypatch.setattr(graphs, "open", counted_open, raising=False)
+    assert main(["graph", "--n", "11", "--mode", "all", "--threads", "2",
+                 "--format", fmt, "--out", str(tmp_path / "g")]) == 0
+    rows = 8 * (counts.catalan(11) + 1) + 5 * 497_420
+    assert 0 < max(sizes) <= 2048 * (4 + 5 * 11 * 10 // 2)
+    assert max(sizes) < rows / 10
 
 
 # VmHWM rise, in bytes, of graphs.component_census(n, mode)

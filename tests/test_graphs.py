@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from array import array
 from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 
@@ -18,13 +19,12 @@ from matchflip.dyck import (_unrank_word, enumerate_matchings, rank, to_dyck,
 from matchflip.errors import ResourceLimitError
 from matchflip.flips import is_centered
 from matchflip.graphs import (EdgeRows, FlipGraph, _farthest, bfs_distances,
-                              build_edge_rows, build_flip_graph,
-                              component_census, component_report, diameter,
-                              graph_json_obj)
+                              build_flip_graph, component_census,
+                              component_report, diameter, graph_json_obj)
 
 import oracles
 from conftest import (_fault_on_job, cached_census, cached_graph,
-                      flip_neighbors, full_edges)
+                      chunked_edge_rows, flip_neighbors, full_edges)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -186,19 +186,27 @@ def test_threaded_build_is_byte_identical(n, mode, threads):
 @pytest.mark.parametrize("n", range(1, 10))
 @pytest.mark.parametrize("mode", ["all", "centered"])
 def test_edge_rows_are_the_rows_above_the_diagonal(n, mode):
-    # every thread count gives the same arrays: the full rows cut to
-    # their targets above the row, each edge once
+    # every thread count gives the same chunks in rank order: the full
+    # rows cut to their targets above the row, each edge once; with hold
+    # the edge count comes before the first chunk
     g = cached_graph(n, mode)
     above = [[(s, f) for s, f in zip(g.neighbors(r), g.neighbor_flags(r))
               if s > r] for r in range(g.vertex_count)]
     for threads in (1, 2, 3):
-        rows = build_edge_rows(n, mode, threads=threads)
-        assert (rows.n, rows.mode) == (n, mode)
-        assert (rows.offsets.itemsize, rows.targets.itemsize) == (8, 4)
-        assert rows.vertex_count == g.vertex_count
-        assert [list(zip(rows.targets[a:b], rows.flags[a:b])) for a, b
-                in zip(rows.offsets, rows.offsets[1:])] == above
-        assert rows.edge_count == len(g.targets) // 2
+        for hold in (False, True):
+            rows = []
+            with graphs._chunks(n, mode, threads, True, hold) as (edges,
+                                                                  chunks):
+                assert edges == (len(g.targets) // 2 if hold else None)
+                for start, counts, targets, flags in chunks:
+                    assert start == len(rows)
+                    assert (counts.typecode, targets.typecode) == ("i", "i")
+                    assert type(flags) is bytes
+                    assert sum(counts) == len(targets) == len(flags)
+                    ends = list(accumulate(counts, initial=0))
+                    rows += [list(zip(targets[a:b], flags[a:b]))
+                             for a, b in zip(ends, ends[1:])]
+            assert rows == above
 
 
 # one failing job: the first (worker 0, whose partner is then killed
@@ -582,7 +590,7 @@ def test_bipartite_rejects_odd_cycle():
 def test_edges_equal_nested_loop_oracle(n, mode):
     # the one edge lister, on the upward rows, against the nested loop
     # over the full rows
-    got = list(build_edge_rows(n, mode).edges())
+    got = list(chunked_edge_rows(n, mode).edges())
     assert got == full_edges(cached_graph(n, mode))
     assert all(type(cen) is bool for _, _, cen in got)
 
@@ -638,7 +646,7 @@ def test_csv_round_trips_edges(capsys):
 
 def test_json_obj_fields():
     g = cached_graph(3, "centered")
-    obj = graph_json_obj(build_edge_rows(3, "centered"))
+    obj = graph_json_obj(chunked_edge_rows(3, "centered"))
     assert obj["n"] == 3 and obj["mode"] == "centered"
     assert obj["vertex_count"] == 5
     assert len(obj["edges"]) == obj["edge_count"] == len(g.targets) // 2

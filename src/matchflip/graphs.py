@@ -305,17 +305,11 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
                      mem_budget: int | None = None) -> FlipGraph:
     """Enumerate all matchings of size n and wire up their flips.
 
-    In process the rows come from one _chunk_rows call over all ranks,
-    whose arrays become the CSR; with threads forked workers they are
-    appended chunk by chunk as _chunks reads them.  The result is
-    byte-identical for any thread count.  mem_budget (bytes) is checked
-    against a size estimate before any allocation.
+    The rows are appended chunk by chunk as _chunks builds or reads
+    them; the result is byte-identical for any thread count.  mem_budget
+    (bytes) is checked against a size estimate before any allocation.
     """
     _check(n, mode, threads, mem_budget, _estimate_bytes)
-    if not _forks(n, threads):
-        counts, targets, flags = _chunk_rows((n, mode, 0, catalan(n), False))
-        return FlipGraph(n, mode, array("q", accumulate(counts, initial=0)),
-                         targets, flags)
     offsets, targets, flags = array("q", [0]), array("i"), bytearray()
     with _chunks(n, mode, threads, False, False) as (_, chunks):
         for _, counts, chunk_targets, chunk_flags in chunks:
@@ -381,12 +375,6 @@ def _jobs(n: int, mode: str, threads: int, upward: bool) -> list[tuple]:
     return [(n, mode, s, min(s + size, v), upward) for s in range(0, v, size)]
 
 
-def _forks(n: int, threads: int) -> bool:
-    """Whether the rows are built in threads forked workers: only with
-    enough ranks to give each of them 4 chunks."""
-    return threads > 1 and catalan(n) >= 4 * threads
-
-
 @contextmanager
 def _chunks(n: int, mode: str, threads: int, upward: bool, hold: bool):
     """Yield (edges, chunks): chunks runs, in rank order, over the rows
@@ -395,15 +383,16 @@ def _chunks(n: int, mode: str, threads: int, upward: bool, hold: bool):
     their number of edges, which is known before the first chunk is
     read, and otherwise None.
 
-    In process (see _forks) the jobs run here one after another; with
-    hold they are all built first.  Otherwise threads workers run them
-    (see _workers) and the chunks are read from their pipes, job k from
+    With one thread, or too few ranks to give each of threads workers 4
+    chunks, the jobs run here one after another; with hold they are all
+    built first.  Otherwise threads forked workers run them (see
+    _workers) and the chunks are read from their pipes, job k from
     reader k mod threads: a full pipe holds each worker about one chunk
     ahead, so besides what the caller keeps the parent holds about one
     chunk.  The chunks are read lazily: use them inside the with block.
     """
     jobs = _jobs(n, mode, threads, upward)
-    if not _forks(n, threads):
+    if threads == 1 or catalan(n) < 4 * threads:
         chunks = ((job[2], *_chunk_rows(job)) for job in jobs)
         if hold:
             chunks = list(chunks)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from functools import partial
 from pathlib import Path
 from types import ModuleType
@@ -269,10 +270,17 @@ def test_failed_export_worker_exits_4(capfd, monkeypatch, fmt, phase):
         assert err.count("Traceback") == 1 and "ValueError: bad chunk" in err
         assert err.splitlines()[-1] == (
             "matchflip: graph build workers exited with [1, -9]")
-    else:
+    elif phase == "format":
         assert 0 < len(out) < len(full) and full.startswith(out)
-        assert (code, err) == ((None, "") if phase == "format" else (
-            4, "matchflip: graph build workers exited with [0, 0]\n"))
+        assert err == ""
+    else:
+        # the short chunk is the last, worker 1's, which has exited when
+        # its pipe ends; worker 0 has sent all it had but may not have
+        # exited yet when it is killed
+        assert 0 < len(out) < len(full) and full.startswith(out)
+        assert code == 4 and err in (
+            "matchflip: graph build workers exited with [0, 0]\n",
+            "matchflip: graph build workers exited with [-9, 0]\n")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -732,39 +740,24 @@ def test_graph_export_parent_holds_no_rows(fmt):
     assert 0 < workers < peak
 
 
-class _CountedReads:
-    """A read end that records the size of every read made from it."""
-
-    def __init__(self, src, sizes: list):
-        self.src, self.sizes = src, sizes
-
-    def read(self, size: int) -> bytes:
-        got = self.src.read(size)
-        self.sizes.append(len(got))
-        return got
-
-    def close(self) -> None:
-        self.src.close()
-
-
 @pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
-def test_graph_export_parent_reads_one_chunk_at_a_time(tmp_path, monkeypatch,
+def test_graph_export_parent_holds_one_chunk_at_a_time(tmp_path, monkeypatch,
                                                        fmt):
-    # VmHWM moves by a few hundred KiB from run to run; the largest single
-    # read from a worker's pipe is counted exactly: at most one chunk's
-    # worst case, 2,048 rows of n(n-1)/2 edges at 4 + 5 bytes per row and
-    # edge, and under a tenth of the 2.82 MiB of upward rows at n = 11
-    sizes = []
+    # VmHWM moves by a few hundred KiB from run to run; the chunks alive
+    # in the parent are counted exactly: as each of the 29 chunks of
+    # graph --n 11 arrives from the pipes, the ones before it are gone,
+    # but for at most the one the formatter has just finished
+    read_chunks, targets, alive = graphs._read_chunks, [], []
 
-    def counted_open(fd, mode):
-        src = open(fd, mode)
-        return _CountedReads(src, sizes) if mode == "rb" else src
-    monkeypatch.setattr(graphs, "open", counted_open, raising=False)
+    def counting(jobs, readers):
+        for chunk in read_chunks(jobs, readers):
+            targets.append(weakref.ref(chunk[2]))
+            alive.append(sum(t() is not None for t in targets))
+            yield chunk
+    monkeypatch.setattr(graphs, "_read_chunks", counting)
     assert main(["graph", "--n", "11", "--mode", "all", "--threads", "2",
                  "--format", fmt, "--out", str(tmp_path / "g")]) == 0
-    rows = 8 * (counts.catalan(11) + 1) + 5 * 497_420
-    assert 0 < max(sizes) <= 2048 * (4 + 5 * 11 * 10 // 2)
-    assert max(sizes) < rows / 10
+    assert len(alive) == 29 and max(alive) <= 2
 
 
 # VmHWM rise, in bytes, of graphs.component_census(n, mode)

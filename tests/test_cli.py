@@ -915,6 +915,8 @@ _REPORT_DIGESTS = {
     "counts --n 12 --format csv": "b83c99ba73137bf5",
     "diameter --n 8 --mode all --format json": "1154f476b01944db",
     "diameter --n 8 --mode all --format table": "10159baf262b43a9",
+    # the benchmark's pin: the bounds passes over the dense G_10
+    "diameter --n 10 --mode all --format json": "7b3b6a7ba73b4448",
     "verify --n 8 --format json": "db7812bc829e4ff4",
     "verify --n 8 --format table": "bae5ab36e58d6d58",
     "rainbow --n 6 --r 2 --format json": "c6a0af778d2b9d2d",

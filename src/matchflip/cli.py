@@ -21,8 +21,9 @@ from itertools import chain, count, islice, repeat
 from .counts import predicted_extremes, verify_counts
 from .dyck import catalan, dyck_words, enumerate_matchings, to_dyck
 from .errors import ResourceLimitError, VerificationError, WorkerError
-from .graphs import (MODES, build_flip_graph, component_census,
-                     component_report, diameter, edge_text)
+from .graphs import (MODES, _check, _diameter_bytes, build_flip_graph,
+                     component_census, component_report, diameter,
+                     edge_text)
 from .rainbow import find_rainbow_cycle
 
 EXIT_OK = 0
@@ -293,6 +294,8 @@ def cmd_stats(args) -> int:
 
 def cmd_diameter(args) -> int:
     fmt = _pick_fmt(args, "json", ("json", "table"))
+    # the budget covers the sweep over the graph too
+    _check(args.n, args.mode, args.threads, args.mem_budget, _diameter_bytes)
     g = build_flip_graph(args.n, args.mode, threads=args.threads,
                          mem_budget=args.mem_budget)
     res = diameter(g, seed=args.seed)

@@ -3,14 +3,16 @@
 Vertices are the C_n non-crossing perfect matchings identified by their
 canonical rank; edges join matchings one flip apart.  mode="all" keeps
 every flip (with a per-edge centered flag), mode="centered" only the
-centered ones.  Three views come from one build of each row's flips:
+centered ones.  Every reader takes the rows from one chunk stream,
+_chunks, which builds them in process or reads them from forked workers:
 - FlipGraph, a CSR of one offsets array and one flat sorted targets
   array, holds both ends of every edge; the BFS kernels that measure
   distances walk it.
-- EdgeRows, a tuple of the same five fields, keeps only each row's
-  targets above it, each edge once, for graph_json_obj.  edge_text hands
-  the upward rows to an edge formatter chunk by chunk, as _chunks reads
-  them, so with threads > 1 the parent holds one chunk at a time.
+- edge_text hands each row's targets above it, each edge once, to an
+  edge formatter chunk by chunk, as _chunks reads them, so with
+  threads > 1 the parent holds one chunk at a time.  No engine code
+  builds an EdgeRows, a tuple of FlipGraph's five fields over those
+  upward rows; the tests build one for edges() and graph_json_obj.
 - Census holds, per vertex, the smallest rank of its component, its
   edges to higher ranks and its degree, from one union-find pass over
   the upward rows, which it does not keep: 12 bytes per vertex for the
@@ -328,18 +330,20 @@ def component_census(n: int, mode: str = "all", threads: int = 1,
     The upward rows arrive one chunk of ranks at a time from _chunks.
     Each chunk adds its row lengths to up and degree, one to the degree
     of each target, and each of its edges to the union-find forest, and
-    is then dropped; a last sweep points every vertex at its root.
-    Identical for any thread count; mem_budget is checked against
-    _census_bytes, the three arrays and one chunk.
+    is then dropped; a last sweep points every vertex at its root.  The
+    three arrays are allocated after _chunks has forked its workers, so
+    no worker maps them and no write to them copies a page the workers
+    share.  Identical for any thread count; mem_budget is checked
+    against _census_bytes, the three arrays and one chunk.
     """
     _check(n, mode, threads, mem_budget, _census_bytes)
     v = catalan(n)
-    # up and degree are allocated whole, so growing up leaves no freed
-    # copies behind in the heap
-    root, up = array("i", range(v)), array("i", [0]) * v
-    degree = array("i", [0]) * v
     centered = 0
     with _chunks(n, mode, threads, True, False) as (_, chunks):
+        # up and degree are allocated whole, so growing up leaves no
+        # freed copies behind in the heap
+        root, up = array("i", range(v)), array("i", [0]) * v
+        degree = array("i", [0]) * v
         for start, counts, targets, flags in chunks:
             up[start:start + len(counts)] = counts
             for r, k in zip(count(start), counts):
@@ -506,6 +510,17 @@ def bfs_distances(g: FlipGraph, src: int) -> list[int]:
     return dist
 
 
+# the most bytes per vertex that _farthest holds: seen and front, 8 each,
+# and a slot of the list nxt, 8, with the int it points at, at most 40
+# for a 64-bit word
+_SWEEP_BYTES = 64
+
+
+def _diameter_bytes(n: int) -> int:
+    """The graph's estimate and the sweep over it."""
+    return _estimate_bytes(n) + _SWEEP_BYTES * catalan(n)
+
+
 def _farthest(g: FlipGraph, sources) -> tuple[dict, int]:
     """({source: (eccentricity, smallest rank at that distance)}, the
     number of vertices the first source reaches).
@@ -519,17 +534,20 @@ def _farthest(g: FlipGraph, sources) -> tuple[dict, int]:
     vertex, in ascending rank, where the bit is new in that layer.  Both
     stay within the source's component; so does the first source's bit,
     which seen holds after the first batch on every vertex it reaches.
-    Memory is three array("Q"), 24 bytes per vertex.
+    seen and front are array("Q"); each layer ORs into a fresh list nxt,
+    which spares converting a word at every arc, and becomes the next
+    front once the layer ends.  That holds at most _SWEEP_BYTES per
+    vertex.
     """
     off, tg = g.offsets, g.targets
-    ranks = range(g.vertex_count)
-    front = array("Q", [0]) * len(ranks)
-    nxt = array("Q", [0]) * len(ranks)
+    v = g.vertex_count
+    ranks = range(v)
     out, reach = {}, 0
     todo = list(dict.fromkeys(sources))
     for at in range(0, len(todo), 64):
         batch = todo[at:at + 64]
-        seen = array("Q", [0]) * len(ranks)
+        seen = array("Q", [0]) * v
+        front = array("Q", [0]) * v
         for i, s in enumerate(batch):
             front[s] = 1 << i
         ecc = [0] * len(batch)
@@ -537,9 +555,9 @@ def _farthest(g: FlipGraph, sources) -> tuple[dict, int]:
         d = 0
         while True:
             claimed = 0                 # bits already new in this layer
+            nxt = [0] * v
             for x in compress(ranks, front):
                 new = front[x] & ~seen[x]
-                front[x] = 0
                 if new:
                     seen[x] |= new
                     first = new & ~claimed
@@ -553,8 +571,10 @@ def _farthest(g: FlipGraph, sources) -> tuple[dict, int]:
                     for y in tg[off[x]:off[x + 1]]:
                         nxt[y] |= new
             if not claimed:
-                break                   # nothing pushed: front, nxt all 0
-            front, nxt = nxt, front
+                break                   # nothing pushed: nxt all 0
+            del front
+            front = array("Q", nxt)
+            del nxt                     # before the next layer's list
             d += 1
         out.update(zip(batch, zip(ecc, far)))
         if not at:
@@ -588,7 +608,8 @@ def diameter(g: FlipGraph, exact_limit: int = 6000, samples: int = 32,
     sorted and begin with rank 0, so the first pass of 64 sources also
     tells whether rank 0 reaches every vertex; if it does not, the graph
     is disconnected, its diameter infinite (value None), and the sweep
-    stops there.  Either mode holds 24 bytes per vertex while it sweeps.
+    stops there.  Either mode holds at most _SWEEP_BYTES, 64 bytes per
+    vertex, while it sweeps.
     g must be a whole flip graph (C_n vertices).
     """
     v = g.vertex_count

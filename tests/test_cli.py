@@ -786,6 +786,45 @@ def test_census_estimate_bounds_its_memory(n, mode):
     assert int(proc.stdout) <= _census_bytes(n)
 
 
+# the VmHWM, in KiB, that each census worker of
+# graphs.component_census(n, "all", threads=2) reads after each of its
+# chunks, one line each on stderr
+_WORKER_PEAK = """
+import os, sys
+from matchflip import graphs
+chunk_rows = graphs._chunk_rows
+def rows(job):
+    got = chunk_rows(job)
+    with open("/proc/self/status") as fh:
+        hwm = next(ln.split()[1] for ln in fh if ln.startswith("VmHWM"))
+    os.write(2, f"{hwm}\\n".encode())    # a worker never flushes stdio
+    return got
+graphs._chunk_rows = rows
+graphs.component_census(int(sys.argv[1]), "all", threads=2)
+"""
+
+
+def _worker_peak_kib(n: int) -> int:
+    proc = subprocess.run([sys.executable, "-c", _WORKER_PEAK, str(n)],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
+    assert proc.returncode == 0
+    return max(map(int, proc.stderr.split()))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs /proc/self/status")
+def test_census_workers_do_not_map_its_arrays():
+    # the census allocates its three arrays after the fork, so a worker's
+    # peak does not grow with them: arrays allocated before it would add
+    # 12 * (208,012 - 16,796) bytes, 2.2 MiB, from n = 10 to n = 12;
+    # VmHWM reads a few hundred KiB either way, hence the 1 MiB margin;
+    # n = 10 runs first, so the run that may compile the sources is the
+    # one that would only lower the difference
+    small = _worker_peak_kib(10)
+    assert _worker_peak_kib(12) - small < 1024
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "stats", "--n", "5", "--mode", "centered")
     second = run(capsys, "stats", "--n", "5", "--mode", "centered")

@@ -168,6 +168,20 @@ def test_census_budget_is_the_census_estimate(capsys, monkeypatch):
     assert out == "" and f"needs an estimated {need} bytes" in err
 
 
+def test_diameter_budget_covers_the_sweep(capsys, monkeypatch):
+    # the diameter command is checked against the graph's estimate and
+    # the sweep's bytes per vertex; a budget under that is refused before
+    # any row is built
+    need = graphs._diameter_bytes(8)
+    assert need > graphs._estimate_bytes(8)
+    assert main(["diameter", "--n", "8", "--mem-budget", str(need)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(graphs, "_chunk_rows", None)
+    assert main(["diameter", "--n", "8", "--mem-budget", str(need - 1)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and f"needs an estimated {need} bytes" in err
+
+
 # every chunk but the first starts the flip stream mid-order; at n = 10
 # the 16,796 ranks are not a multiple of the 2,048-rank chunk
 @pytest.mark.parametrize("n, mode, threads", [
@@ -553,8 +567,9 @@ def test_diameter_runs_only_the_multi_source_kernel(n, exact_limit,
 
 @pytest.mark.parametrize("exact_limit", [6000, 1])
 def test_diameter_memory_per_vertex(exact_limit):
-    # the kernel's three array("Q") take 24 bytes per vertex; with lists
-    # of Python ints in their place the peak here is 103-114
+    # seen and front are array("Q") and each layer ORs into a list: the
+    # peak here is 58-62 bytes per vertex (24 when the layer was an
+    # array("Q") too); with lists for all three it is 103-114
     g = cached_graph(9, "all")
     tracemalloc.start()
     try:

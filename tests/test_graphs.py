@@ -568,8 +568,8 @@ def test_diameter_runs_only_the_multi_source_kernel(n, exact_limit,
 @pytest.mark.parametrize("exact_limit", [6000, 1])
 def test_diameter_memory_per_vertex(exact_limit):
     # seen and front are array("Q") and each layer ORs into a list: the
-    # peak here is 58-62 bytes per vertex (24 when the layer was an
-    # array("Q") too); with lists for all three it is 103-114
+    # peak here is 58-62 bytes per vertex; with lists for all three it is
+    # 103-114
     g = cached_graph(9, "all")
     tracemalloc.start()
     try:

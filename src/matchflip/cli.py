@@ -294,10 +294,10 @@ def cmd_stats(args) -> int:
 
 def cmd_diameter(args) -> int:
     fmt = _pick_fmt(args, "json", ("json", "table"))
-    # the budget covers the sweep over the graph too
+    # the budget covers the graph and the sweep over it, checked here
+    # before the build
     _check(args.n, args.mode, args.threads, args.mem_budget, _diameter_bytes)
-    g = build_flip_graph(args.n, args.mode, threads=args.threads,
-                         mem_budget=args.mem_budget)
+    g = build_flip_graph(args.n, args.mode, threads=args.threads)
     res = diameter(g, seed=args.seed)
     if not res.connected:
         display = "inf"

@@ -44,55 +44,68 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(low: int):
+    """An argparse type: an integer of at least low."""
+    def integer(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low} (got {value})")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, required=True, metavar="N",
-                        help="matching size; the circle has 2n points")
-    common.add_argument("--mode", choices=MODES, default="all",
-                        help="keep all flips or centered flips only")
-    common.add_argument("--format", dest="fmt", default=None,
-                        choices=("json", "csv", "dot", "table"),
-                        help="output format (default json; enumerate "
-                             "defaults to one matching per line)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for graph builds "
-                             "(default 1)")
-    common.add_argument("--mem-budget", type=int, default=None,
-                        metavar="BYTES", help="refuse graph builds that "
-                        "would exceed this estimate")
-    common.add_argument("--search-budget", type=int, default=10 ** 9,
-                        metavar="NODES",
-                        help="node expansion budget for rainbow search")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled diameter bounds")
-    common.add_argument("--out", default=None, metavar="PATH",
-                        help="write output to a file instead of stdout")
+    # each command accepts only the flags its cmd_* reads: io's for every
+    # command, build's for those that build a graph, graph's for those
+    # whose graph the user picks
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--n", type=_at_least(2), required=True, metavar="N",
+                    help="matching size; the circle has 2n points")
+    io.add_argument("--format", dest="fmt", default=None,
+                    choices=("json", "csv", "dot", "table"),
+                    help="output format (default json; enumerate defaults "
+                         "to one matching per line)")
+    io.add_argument("--out", default=None, metavar="PATH",
+                    help="write output to a file instead of stdout")
+    build = argparse.ArgumentParser(add_help=False, parents=[io])
+    build.add_argument("--threads", type=_at_least(1), default=1,
+                       help="worker processes for graph builds (default 1)")
+    build.add_argument("--mem-budget", type=_at_least(1), default=None,
+                       metavar="BYTES", help="refuse graph builds that "
+                       "would exceed this estimate")
+    graph = argparse.ArgumentParser(add_help=False, parents=[build])
+    graph.add_argument("--mode", choices=MODES, default="all",
+                       help="keep all flips or centered flips only")
 
     p = _Parser(prog="matchflip",
                 description="Exact flip-graph engine for non-crossing "
                             "perfect matchings on a circle.")
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=_Parser)
-    sub.add_parser("enumerate", parents=[common],
+    sub.add_parser("enumerate", parents=[io],
                    help="list all matchings in rank order")
-    sub.add_parser("graph", parents=[common],
+    sub.add_parser("graph", parents=[graph],
                    help="build the flip graph and export it")
-    sub.add_parser("stats", parents=[common],
+    sub.add_parser("stats", parents=[graph],
                    help="degree and component structure of the flip graph")
-    sub.add_parser("diameter", parents=[common],
-                   help="graph diameter, or an infinite marker")
-    sub.add_parser("counts", parents=[common],
+    dm = sub.add_parser("diameter", parents=[graph],
+                        help="graph diameter, or an infinite marker")
+    dm.add_argument("--seed", type=int, default=0,
+                    help="seed for sampled diameter bounds")
+    sub.add_parser("counts", parents=[io],
                    help="the prediction table, without enumeration")
-    rb = sub.add_parser("rainbow", parents=[common],
-                        help="search for an r-rainbow cycle")
-    rb.add_argument("--r", type=int, default=1,
+    rb = sub.add_parser("rainbow", parents=[build],
+                        help="search for an r-rainbow cycle in H_n")
+    rb.add_argument("--r", type=_at_least(1), default=1,
                     help="target multiplicity (default 1)")
+    rb.add_argument("--search-budget", type=_at_least(1), default=10 ** 9,
+                    metavar="NODES", help="node expansion budget")
     rb.add_argument("--force-search", action="store_true",
                     help="run the explicit search even when a certificate "
                          "already answers (odd n)")
-    sub.add_parser("verify", parents=[common],
-                   help="re-derive every prediction by enumeration; "
-                        "exit 2 on any mismatch")
+    sub.add_parser("verify", parents=[build],
+                   help="re-derive every prediction by enumeration, on "
+                        "both H_n and G_n; exit 2 on any mismatch")
     return p
 
 
@@ -111,12 +124,12 @@ def _dump(obj) -> str:
                       default=_json_default) + "\n"
 
 
-def _batched(items, size: int = 1024):
+def _batched(items):
     # a batch of 1,024 words or labels, its join and the copies made on
     # the way to stdout raise a process's RSS by about 0.4 MiB; 4,096
     # raised it by 1.2-1.7 MiB, more than the graph exports' edge text
     it = iter(items)
-    while batch := list(islice(it, size)):
+    while batch := list(islice(it, 1024)):
         yield batch
 
 
@@ -214,14 +227,13 @@ def cmd_enumerate(args) -> int:
     fmt = _pick_fmt(args, "table", ("table", "csv", "json"))
     n = args.n
     if fmt == "json":
-        # `_dump` of the list of rows, one row at a time; a row is a few
-        # hundred characters, so a chunk holds fewer of them
+        # `_dump` of the list of rows, one row at a time
         rows = (json.dumps({"rank": i, "pairs": [list(p) for p in m.pairs],
                             "word": to_dyck(m)}, indent=2, sort_keys=True)
                 for i, m in enumerate(enumerate_matchings(n)))
         _write(args.out, chain(
             _json_array(",\n".join(batch) for batch in _batched(
-                ("  " + row.replace("\n", "\n  ") for row in rows), 1024)),
+                ("  " + row.replace("\n", "\n  ") for row in rows))),
             ["\n"]))
         return EXIT_OK
     if fmt == "csv":
@@ -368,16 +380,6 @@ _DISPATCH = {"enumerate": cmd_enumerate, "graph": cmd_graph,
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.n < 2:
-        parser.error(f"--n must be at least 2 (got {args.n})")
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
-    if args.search_budget < 1:
-        parser.error("--search-budget must be >= 1")
-    if args.mem_budget is not None and args.mem_budget < 1:
-        parser.error("--mem-budget must be >= 1")
-    if getattr(args, "r", 1) < 1:
-        parser.error("--r must be >= 1")
     try:
         return _DISPATCH[args.command](args)
     except _Usage as exc:

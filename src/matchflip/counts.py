@@ -21,8 +21,8 @@ from .dyck import (_band_weight, _peaks, _symmetric, _weight, _wraps,
                    catalan, dyck_words, enumerate_matchings)
 from .errors import VerificationError
 from .flips import replay
-from .graphs import (build_flip_graph, component_census, component_report,
-                     diameter)
+from .graphs import (_check, _diameter_bytes, build_flip_graph,
+                     component_census, component_report, diameter)
 
 
 def narayana(r: int, n: int, k: int) -> int:
@@ -211,7 +211,8 @@ def verify_counts(n: int, threads: int = 1,
     The rows are the census of one pass over all matchings, then the
     facts of the flip graphs: degrees and components from
     `component_census`, and distances and rows from `build_flip_graph`
-    at small n, both with threads and mem_budget.
+    at small n, both with threads.  mem_budget covers the census and,
+    at small n, each graph and the diameter sweep over it.
     """
     pred = predicted_extremes(n)
     n_symmetric = 0
@@ -274,12 +275,15 @@ def _structure_rows(n: int, pred: dict, threads: int,
                     mem_budget: int | None) -> list[CountRow]:
     """Graph-level facts re-checked against their predictions pred."""
     rows: list[CountRow] = []
+    # the full rows of H and G only where distances or rows are compared;
+    # the budget covers each graph and the sweep over it, checked here
+    # before anything is built
+    swept = n <= max(_G_LIMIT, _H_DIAMETER_LIMIT)
+    if swept:
+        _check(n, "all", threads, mem_budget, _diameter_bytes)
     census = component_census(n, "centered", threads=threads,
                               mem_budget=mem_budget)
-    # the full rows of H only where distances or rows are compared
-    h = (build_flip_graph(n, "centered", threads=threads,
-                          mem_budget=mem_budget)
-         if n <= max(_G_LIMIT, _H_DIAMETER_LIMIT) else None)
+    h = build_flip_graph(n, "centered", threads=threads) if swept else None
     ds = census.degree_summary()
     rows.append(CountRow("H max degree", pred["max_degree"], ds["max"]))
     rows.append(CountRow("H min degree", pred["min_degree"], ds["min"]))
@@ -344,8 +348,7 @@ def _structure_rows(n: int, pred: dict, threads: int,
                              len(report), single))
 
     if n <= _G_LIMIT:
-        g = build_flip_graph(n, "all", threads=threads,
-                             mem_budget=mem_budget)
+        g = build_flip_graph(n, "all", threads=threads)
         rows.append(CountRow("G bipartite", 1, int(g.is_bipartite())))
         rows.append(CountRow("G diameter", MEASURED["G diameter"][n],
                              diameter(g).value))

@@ -13,10 +13,10 @@ _chunks, which builds them in process or reads them from forked workers:
   threads > 1 the parent holds one chunk at a time.  No engine code
   builds an EdgeRows, a tuple of FlipGraph's five fields over those
   upward rows; the tests build one for edges() and graph_json_obj.
-- Census holds, per vertex, the smallest rank of its component, its
-  edges to higher ranks and its degree, from one union-find pass over
-  the upward rows, which it does not keep: 12 bytes per vertex for the
-  degrees, components and component report.
+- Census holds, per vertex, the smallest rank of its component and
+  its degree, from one union-find pass over the upward rows, which it
+  does not keep: 8 bytes per vertex for the degrees, components and
+  component report.
 """
 
 from __future__ import annotations
@@ -109,12 +109,12 @@ def _estimate_bytes(n: int) -> int:
 
 
 def _census_bytes(n: int) -> int:
-    # 12 bytes per vertex, and one chunk of upward rows: 4 bytes per row
+    # 8 bytes per vertex, and one chunk of upward rows: 4 bytes per row
     # and 6 per edge (its target, and its flag twice, as _chunk_rows
     # copies the flags into bytes), and no row longer than the largest
     # degree, n(n-1)/2
     v = catalan(n)
-    return 12 * v + min(v, _CHUNK_RANKS) * (4 + 6 * n * (n - 1) // 2)
+    return 8 * v + min(v, _CHUNK_RANKS) * (4 + 6 * n * (n - 1) // 2)
 
 
 def _row_numbers(lengths, start: int = 0):
@@ -229,14 +229,14 @@ class EdgeRows(NamedTuple):
 
 
 class Census(NamedTuple):
-    """Degrees and components of a flip graph, 12 bytes per vertex:
-    root[r] is the smallest rank in r's component, up[r] the number of
-    r's edges to higher ranks and degree[r] its number of edges."""
+    """Degrees and components of a flip graph, 8 bytes per vertex:
+    root[r] is the smallest rank in r's component and degree[r] its
+    number of edges.  No edge leaves a component, so a component's edges
+    are half its degree sum."""
 
     n: int
     mode: str
     root: array
-    up: array
     degree: array
     centered_edge_count: int
 
@@ -246,7 +246,7 @@ class Census(NamedTuple):
 
     @property
     def edge_count(self) -> int:
-        return sum(self.up)
+        return sum(self.degree) // 2
 
     def degree_summary(self) -> dict:
         hist = Counter(self.degree)
@@ -264,8 +264,7 @@ class Census(NamedTuple):
         return _groups(self.root)
 
     def component_edge_count(self, comp: list[int]) -> int:
-        # each edge counts once, at its lower end
-        return sum(map(self.up.__getitem__, comp))
+        return sum(map(self.degree.__getitem__, comp)) // 2
 
     def is_connected(self) -> bool:
         return not any(self.root)
@@ -286,16 +285,19 @@ def component_report(c: Census) -> list[dict]:
         if even:
             wts.append(_weight(c.n, w))
     sizes = Counter(c.root)
-    # each edge counts once, at its lower end
-    edges = Counter(chain.from_iterable(map(repeat, c.root, c.up)))
+    # no edge leaves its component, so each is counted at both ends
+    ends: Counter = Counter()
+    for f, d in zip(c.root, c.degree):
+        ends[f] += d
     symmetric = Counter(compress(c.root, sym))
     weights: dict[int, dict[str, int]] = {f: {} for f in sizes}
     for (f, w), k in sorted(Counter(zip(c.root, wts)).items()):
         weights[f][str(w)] = k
     report = []
     for f, size in sorted(sizes.items(), key=lambda fs: (-fs[1], fs[0])):
-        row: dict = {"size": size, "edges": edges[f],
-                     "is_tree": edges[f] == size - 1, "min_rank": f,
+        edges = ends[f] // 2
+        row: dict = {"size": size, "edges": edges,
+                     "is_tree": edges == size - 1, "min_rank": f,
                      "symmetric_count": symmetric[f]}
         if even:
             row["weights"] = weights[f]
@@ -328,31 +330,27 @@ def component_census(n: int, mode: str = "all", threads: int = 1,
     rows.
 
     The upward rows arrive one chunk of ranks at a time from _chunks.
-    Each chunk adds its row lengths to up and degree, one to the degree
-    of each target, and each of its edges to the union-find forest, and
-    is then dropped; a last sweep points every vertex at its root.  The
-    three arrays are allocated after _chunks has forked its workers, so
-    no worker maps them and no write to them copies a page the workers
-    share.  Identical for any thread count; mem_budget is checked
-    against _census_bytes, the three arrays and one chunk.
+    Each chunk adds its row lengths to the degrees of its rows, one to
+    the degree of each target, and each of its edges to the union-find
+    forest, and is then dropped; a last sweep points every vertex at its
+    root.  The two arrays are allocated after _chunks has forked its
+    workers, so no worker maps them and no write to them copies a page
+    the workers share.  Identical for any thread count; mem_budget is
+    checked against _census_bytes, the two arrays and one chunk.
     """
     _check(n, mode, threads, mem_budget, _census_bytes)
     v = catalan(n)
     centered = 0
     with _chunks(n, mode, threads, True, False) as (_, chunks):
-        # up and degree are allocated whole, so growing up leaves no
-        # freed copies behind in the heap
-        root, up = array("i", range(v)), array("i", [0]) * v
-        degree = array("i", [0]) * v
+        root, degree = array("i", range(v)), array("i", [0]) * v
         for start, counts, targets, flags in chunks:
-            up[start:start + len(counts)] = counts
             for r, k in zip(count(start), counts):
                 degree[r] += k
             for y in targets:
                 degree[y] += 1
             _union(root, zip(_row_numbers(counts, start), targets))
             centered += flags.count(1)
-    return Census(n, mode, _finish(root), up, degree, centered)
+    return Census(n, mode, _finish(root), degree, centered)
 
 
 def _check(n: int, mode: str, threads: int, mem_budget: int | None,

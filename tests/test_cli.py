@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import argparse
 import ast
 import hashlib
 import importlib
@@ -72,11 +73,42 @@ def test_enumerate_csv(capsys):
     ["rainbow", "--n", "4", "--r", "0"],
     ["graph", "--n", "4", "--threads", "0"],
     ["rainbow", "--n", "4", "--search-budget", "0"],
+    ["graph", "--n", "4", "--mem-budget", "0"],
+    # flags that the command never reads
+    ["verify", "--n", "4", "--mode", "all"],
+    ["enumerate", "--n", "3", "--threads", "2"],
+    ["counts", "--n", "3", "--seed", "1"],
+    ["stats", "--n", "4", "--seed", "2"],
 ])
-def test_usage_errors_exit_1(argv):
+def test_usage_errors_exit_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "3"], ["counts", "--n", "3"],
+    ["graph", "--n", "3"], ["stats", "--n", "4"], ["diameter", "--n", "4"],
+    ["verify", "--n", "4"], ["rainbow", "--n", "4"]])
+def test_every_flag_a_command_accepts_is_read(capsys, monkeypatch, argv):
+    # the command reads every attribute its parser sets, so no accepted
+    # flag is ignored
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    parser = cli.build_parser()
+    accepted = set(vars(parser.parse_args(argv)))
+    monkeypatch.setattr(parser, "parse_args", lambda argv: Recording(
+        **vars(argparse.ArgumentParser.parse_args(parser, argv))))
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert accepted - read == set()
 
 
 def test_unavailable_format_is_a_usage_error(capsys):
@@ -710,7 +742,7 @@ def test_graph_json_holds_less_than_the_full_graph():
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="needs /proc/self/status")
 def test_verify_holds_less_than_the_full_graph():
-    # the H_11 degrees and connectivity come from the census, 12 bytes a
+    # the H_11 degrees and connectivity come from the census, 8 bytes a
     # vertex, not from the two-ended rows, which alone raise VmHWM by
     # about 2.8 MiB
     proc = subprocess.run(
@@ -778,7 +810,7 @@ print(1024 * (hwm() - before))
 @pytest.mark.parametrize("n, mode", [(10, "all"), (11, "all"),
                                      (12, "centered")])
 def test_census_estimate_bounds_its_memory(n, mode):
-    # --mem-budget checks the census against _census_bytes, 12 bytes per
+    # --mem-budget checks the census against _census_bytes, 8 bytes per
     # vertex and one chunk, not the full graph's estimate (26 MB at n = 12)
     proc = subprocess.run([sys.executable, "-c", _CENSUS_RISE, str(n), mode],
                           capture_output=True, text=True)

@@ -182,6 +182,22 @@ def test_diameter_budget_covers_the_sweep(capsys, monkeypatch):
     assert out == "" and f"needs an estimated {need} bytes" in err
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_verify_budget_covers_the_diameter_sweeps(capsys, monkeypatch, n):
+    # verify sweeps H_n and G_n at these n; its budget covers each graph
+    # and the sweep over it, checked before any row is built
+    need = graphs._diameter_bytes(n)
+    assert main(["verify", "--n", str(n)]) == 0
+    want = capsys.readouterr().out
+    budget = max(need, graphs._census_bytes(n), graphs._estimate_bytes(n))
+    assert main(["verify", "--n", str(n), "--mem-budget", str(budget)]) == 0
+    assert capsys.readouterr().out == want
+    monkeypatch.setattr(graphs, "_chunk_rows", None)
+    assert main(["verify", "--n", str(n), "--mem-budget", str(need - 1)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and f"needs an estimated {need} bytes" in err
+
+
 # every chunk but the first starts the flip stream mid-order; at n = 10
 # the 16,796 ranks are not a multiple of the 2,048-rank chunk
 @pytest.mark.parametrize("n, mode, threads", [
@@ -398,9 +414,8 @@ def test_census_matches_networkx_and_the_full_rows(n, mode, threads):
     root, up, degree, centered, report = _census_oracle(n, mode)
     c = component_census(n, mode, threads=threads)
     assert (c.n, c.mode, c.vertex_count) == (n, mode, catalan(n))
-    assert all(a.typecode == "i" for a in (c.root, c.up, c.degree))
+    assert all(a.typecode == "i" for a in (c.root, c.degree))
     assert list(c.root) == root
-    assert list(c.up) == up
     assert list(c.degree) == degree
     assert c.edge_count == sum(up)
     assert c.centered_edge_count == centered

@@ -13,7 +13,6 @@ part of its text).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import partial
 from itertools import chain, count, islice, repeat
@@ -21,9 +20,8 @@ from itertools import chain, count, islice, repeat
 from .counts import predicted_extremes, verify_counts
 from .dyck import catalan, dyck_words, enumerate_matchings, to_dyck
 from .errors import ResourceLimitError, VerificationError, WorkerError
-from .graphs import (MODES, _check, _diameter_bytes, build_flip_graph,
-                     component_census, component_report, diameter,
-                     edge_text)
+from .graphs import (MODES, build_flip_graph, component_census,
+                     component_report, diameter, edge_text)
 from .rainbow import find_rainbow_cycle
 
 EXIT_OK = 0
@@ -33,15 +31,19 @@ EXIT_BUDGET = 3
 EXIT_RESOURCE = 4
 
 
-class _Usage(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; 2 is taken by "mismatch" here
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand names the flags it does not accept itself, with
+        # its own usage line, before the top-level parser would
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args, extras
 
 
 def _at_least(low: int):
@@ -54,17 +56,23 @@ def _at_least(low: int):
     return integer
 
 
+# the formats each command prints, its default first
+_FORMATS = {"enumerate": ("table", "csv", "json"),
+            "graph": ("json", "dot", "csv", "table"),
+            "stats": ("json", "table", "csv"),
+            "diameter": ("json", "table"),
+            "counts": ("json", "table", "csv"),
+            "rainbow": ("json", "table"),
+            "verify": ("json", "table")}
+
+
 def build_parser() -> argparse.ArgumentParser:
     # each command accepts only the flags its cmd_* reads: io's for every
     # command, build's for those that build a graph, graph's for those
-    # whose graph the user picks
+    # whose graph the user picks, and the formats _FORMATS gives it
     io = argparse.ArgumentParser(add_help=False)
     io.add_argument("--n", type=_at_least(2), required=True, metavar="N",
                     help="matching size; the circle has 2n points")
-    io.add_argument("--format", dest="fmt", default=None,
-                    choices=("json", "csv", "dot", "table"),
-                    help="output format (default json; enumerate defaults "
-                         "to one matching per line)")
     io.add_argument("--out", default=None, metavar="PATH",
                     help="write output to a file instead of stdout")
     build = argparse.ArgumentParser(add_help=False, parents=[io])
@@ -106,6 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify", parents=[build],
                    help="re-derive every prediction by enumeration, on "
                         "both H_n and G_n; exit 2 on any mismatch")
+    for name, command in sub.choices.items():
+        formats = _FORMATS[name]
+        command.add_argument("--format", dest="fmt", choices=formats,
+                             default=formats[0],
+                             help="output format; the first is the "
+                                  "default")
     return p
 
 
@@ -120,6 +134,10 @@ def _json_default(obj):
 
 
 def _dump(obj) -> str:
+    # json is imported where JSON is printed, not at import: its modules
+    # raise RSS by about 0.25 MiB, which then comes after a command's
+    # graph work instead of on top of it
+    import json
     return json.dumps(obj, indent=2, sort_keys=True,
                       default=_json_default) + "\n"
 
@@ -186,6 +204,7 @@ def _graph_json(n: int, mode: str, edge_count: int, edges):
     """`_dump(graph_json_obj(g))` as text chunks, for the graph g of n
     and mode with edge_count edges: the edge items come as the text
     chunks edges, the words from one `dyck_words` stream."""
+    import json
     yield f'{{\n  "edge_count": {edge_count},\n  "edges": '
     yield from _json_array(edges, "  ")
     yield (f',\n  "mode": {json.dumps(mode)},\n  "n": {n},\n'
@@ -204,29 +223,21 @@ def _write(path, chunks) -> None:
             fh.writelines(chunks)
 
 
-def _emit(args, fmt: str, obj, table, csv=()) -> None:
+def _emit(args, obj, table, csv=()) -> None:
     """Write a report: obj as JSON, or its table or csv lines."""
-    if fmt == "json":
+    if args.fmt == "json":
         _write(args.out, [_dump(obj)])
     else:
-        _write(args.out, _lines(table if fmt == "table" else csv))
-
-
-def _pick_fmt(args, default: str, allowed: tuple[str, ...]) -> str:
-    fmt = args.fmt or default
-    if fmt not in allowed:
-        raise _Usage(f"format {fmt!r} is not available for "
-                     f"'{args.command}' (choose from {', '.join(allowed)})")
-    return fmt
+        _write(args.out, _lines(table if args.fmt == "table" else csv))
 
 
 # -------------------------------------------------------------- commands
 
 
 def cmd_enumerate(args) -> int:
-    fmt = _pick_fmt(args, "table", ("table", "csv", "json"))
-    n = args.n
+    fmt, n = args.fmt, args.n
     if fmt == "json":
+        import json
         # `_dump` of the list of rows, one row at a time
         rows = (json.dumps({"rank": i, "pairs": [list(p) for p in m.pairs],
                             "word": to_dyck(m)}, indent=2, sort_keys=True)
@@ -249,8 +260,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    fmt = _pick_fmt(args, "json", ("json", "dot", "csv", "table"))
-    n, mode = args.n, args.mode
+    fmt, n, mode = args.fmt, args.n, args.mode
     if fmt == "table":
         # the table needs only degrees and components
         g = component_census(n, mode, threads=args.threads,
@@ -264,8 +274,9 @@ def cmd_graph(args) -> int:
             f"components {len(set(g.root))}"]))
         return EXIT_OK
     text = partial(_edge_chunks, *_EDGE_FORMS[fmt])
-    with edge_text(n, mode, args.threads, args.mem_budget,
-                   text) as (edge_count, edges):
+    # only the JSON header needs the edge count before the edges
+    with edge_text(n, mode, args.threads, args.mem_budget, text,
+                   fmt == "json") as (edge_count, edges):
         if fmt == "json":
             chunks = _graph_json(n, mode, edge_count, edges)
         elif fmt == "csv":
@@ -281,7 +292,6 @@ def cmd_graph(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    fmt = _pick_fmt(args, "json", ("json", "table", "csv"))
     g = component_census(args.n, args.mode, threads=args.threads,
                          mem_budget=args.mem_budget)
     report = component_report(g)
@@ -300,16 +310,13 @@ def cmd_stats(args) -> int:
     csv = ["component,size,edges,is_tree,symmetric_count"]
     csv += [f"{i},{c['size']},{c['edges']},{int(c['is_tree'])},"
             f"{c['symmetric_count']}" for i, c in enumerate(report)]
-    _emit(args, fmt, obj, table, csv)
+    _emit(args, obj, table, csv)
     return EXIT_OK
 
 
 def cmd_diameter(args) -> int:
-    fmt = _pick_fmt(args, "json", ("json", "table"))
-    # the budget covers the graph and the sweep over it, checked here
-    # before the build
-    _check(args.n, args.mode, args.threads, args.mem_budget, _diameter_bytes)
-    g = build_flip_graph(args.n, args.mode, threads=args.threads)
+    g = build_flip_graph(args.n, args.mode, threads=args.threads,
+                         mem_budget=args.mem_budget)
     res = diameter(g, seed=args.seed)
     if not res.connected:
         display = "inf"
@@ -321,12 +328,11 @@ def cmd_diameter(args) -> int:
            "exact": res.exact, "diameter": res.value, "display": display,
            "lower": res.lower, "upper": res.upper,
            "witness": list(res.witness) if res.witness else None}
-    _emit(args, fmt, obj, [display])
+    _emit(args, obj, [display])
     return EXIT_OK
 
 
 def cmd_counts(args) -> int:
-    fmt = _pick_fmt(args, "json", ("json", "table", "csv"))
     obj = predicted_extremes(args.n)
     flat = []
     for key in sorted(obj):
@@ -336,13 +342,12 @@ def cmd_counts(args) -> int:
                      for sub in sorted(val, key=int)]
         else:
             flat.append((key, val))
-    _emit(args, fmt, obj, [f"{k} {v}" for k, v in flat],
+    _emit(args, obj, [f"{k} {v}" for k, v in flat],
           ["name,value"] + [f"{k},{v}" for k, v in flat])
     return EXIT_OK
 
 
 def cmd_rainbow(args) -> int:
-    fmt = _pick_fmt(args, "json", ("json", "table"))
     res = find_rainbow_cycle(args.n, args.r, budget=args.search_budget,
                              force_search=args.force_search,
                              threads=args.threads, mem_budget=args.mem_budget)
@@ -360,14 +365,13 @@ def cmd_rainbow(args) -> int:
         table.append(f"reason {res.reason}")
     if res.cycle is not None:
         table.append(f"length {len(res.cycle)}")
-    _emit(args, fmt, obj, table)
+    _emit(args, obj, table)
     return EXIT_BUDGET if res.status == "budget" else EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    fmt = _pick_fmt(args, "json", ("json", "table"))
     report = verify_counts(args.n, args.threads, args.mem_budget)
-    _emit(args, fmt, report.as_json_obj(), report.table_lines())
+    _emit(args, report.as_json_obj(), report.table_lines())
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
@@ -382,9 +386,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except _Usage as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except VerificationError as exc:
         print(f"{parser.prog}: verification failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

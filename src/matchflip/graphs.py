@@ -9,10 +9,10 @@ _chunks, which builds them in process or reads them from forked workers:
   array, holds both ends of every edge; the BFS kernels that measure
   distances walk it.
 - edge_text hands each row's targets above it, each edge once, to an
-  edge formatter chunk by chunk, as _chunks reads them, so with
-  threads > 1 the parent holds one chunk at a time.  No engine code
-  builds an EdgeRows, a tuple of FlipGraph's five fields over those
-  upward rows; the tests build one for edges() and graph_json_obj.
+  edge formatter chunk by chunk, as _chunks reads them, so the parent
+  holds one chunk at a time.  No engine code builds an EdgeRows, a
+  tuple of FlipGraph's five fields over those upward rows; the tests
+  build one for edges() and graph_json_obj.
 - Census holds, per vertex, the smallest rank of its component and
   its degree, from one union-find pass over the upward rows, which it
   does not keep: 8 bytes per vertex for the degrees, components and
@@ -311,9 +311,11 @@ def build_flip_graph(n: int, mode: str = "all", threads: int = 1,
 
     The rows are appended chunk by chunk as _chunks builds or reads
     them; the result is byte-identical for any thread count.  mem_budget
-    (bytes) is checked against a size estimate before any allocation.
+    (bytes) is checked before any allocation against _diameter_bytes,
+    the graph and one diameter sweep over it: every engine reader of a
+    FlipGraph sweeps it or compares its rows with a swept one.
     """
-    _check(n, mode, threads, mem_budget, _estimate_bytes)
+    _check(n, mode, threads, mem_budget, _diameter_bytes)
     offsets, targets, flags = array("q", [0]), array("i"), bytearray()
     with _chunks(n, mode, threads, False, False) as (_, chunks):
         for _, counts, chunk_targets, chunk_flags in chunks:
@@ -463,22 +465,25 @@ def _workers(jobs: list[tuple], threads: int, hold: bool):
 
 @contextmanager
 def edge_text(n: int, mode: str, threads: int, mem_budget: int | None,
-              text: Callable[..., Iterator[str]]):
+              text: Callable[..., Iterator[str]], hold: bool):
     """Yield (edge count, text) for the upward rows' edges, where text
     runs, in rank order, over every string that the edge formatter
-    text(start, counts, targets, flags) yields for each chunk of _chunks,
-    which holds its rows (hold), so the edge count is known first.
+    text(start, counts, targets, flags) yields for each chunk of
+    _chunks.  With hold, _chunks holds its rows so the edge count is
+    known first; without it the edge count is None.
 
-    With threads forked workers, each builds its own chunks and keeps
-    them, and the parent formats each chunk as it arrives, so it holds
-    one chunk at a time.  The text is read lazily: use it inside the
-    with block.  A worker that fails while building raises on entry,
-    before any text; a stream that ends early raises at the end of the
-    block, after part of the text.  mem_budget is checked against the
-    full graph's estimate before anything is built.
+    The parent formats each chunk as it arrives and then drops it, so
+    it holds one chunk at a time, except that with hold and one thread
+    it builds every chunk first; with hold and threads forked workers,
+    each worker keeps its own chunks instead.  The text is read lazily:
+    use it inside the with block.  With hold, a worker that fails while building
+    raises on entry, before any text; a stream that ends early, and
+    without hold any failed worker, raises at the end of the block,
+    after the text of the chunks before.  mem_budget is checked against
+    the full graph's estimate before anything is built.
     """
     _check(n, mode, threads, mem_budget, _estimate_bytes)
-    with _chunks(n, mode, threads, True, True) as (edges, chunks):
+    with _chunks(n, mode, threads, True, hold) as (edges, chunks):
         yield edges, chain.from_iterable(starmap(text, chunks))
 
 

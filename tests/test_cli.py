@@ -79,6 +79,10 @@ def test_enumerate_csv(capsys):
     ["enumerate", "--n", "3", "--threads", "2"],
     ["counts", "--n", "3", "--seed", "1"],
     ["stats", "--n", "4", "--seed", "2"],
+    # formats the command does not print
+    ["enumerate", "--n", "3", "--format", "dot"],
+    ["verify", "--n", "4", "--format", "csv"],
+    ["counts", "--n", "3", "--format", "dot"],
 ])
 def test_usage_errors_exit_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -112,10 +116,44 @@ def test_every_flag_a_command_accepts_is_read(capsys, monkeypatch, argv):
 
 
 def test_unavailable_format_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "diameter", "--n", "3", "--format", "dot")
-    assert code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["diameter", "--n", "3", "--format", "dot"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1
     assert out == ""
-    assert "not available" in err
+    assert "invalid choice: 'dot'" in err
+
+
+def _formats():
+    """(command, format) for every format each subparser accepts."""
+    commands = next(a for a in cli.build_parser()._actions
+                    if a.dest == "command").choices
+    return [(name, fmt) for name, sub in commands.items()
+            for fmt in next(a for a in sub._actions
+                            if a.dest == "fmt").choices]
+
+
+@pytest.mark.parametrize("command, fmt", _formats())
+def test_every_format_a_parser_accepts_prints(capsys, command, fmt):
+    code, out, _ = run(capsys, command, "--n", "4", "--format", fmt)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("argv, message", [
+    (["diameter", "--n", "3", "--format", "dot"],
+     "matchflip diameter: error: argument --format: invalid choice: 'dot'"),
+    (["verify", "--n", "4", "--mode", "all"],
+     "matchflip verify: error: unrecognized arguments: --mode all")],
+    ids=["format", "flag"])
+def test_usage_errors_exit_1_in_a_process(flags, argv, message):
+    # argparse leaves through SystemExit; the process exits 1 with the
+    # subcommand's own usage line and message, and prints nothing
+    proc = subprocess.run([sys.executable, *flags, "-m", "matchflip.cli",
+                           *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"usage: matchflip {argv[0]} ")
+    assert message in proc.stderr
 
 
 def test_diameter_table_and_json(capsys):
@@ -276,10 +314,12 @@ def _short_last_chunk(monkeypatch):
 @pytest.mark.parametrize("phase", ["build", "format", "stream"])
 @pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
 def test_failed_export_worker_exits_4(capfd, monkeypatch, fmt, phase):
-    # a worker that fails while it builds its rows fails the export before
-    # any output; a formatter that raises in the parent, or a stream that
-    # ends early, fails it after the header and the chunks before, which
-    # stay printed; every worker is reaped either way
+    # a worker that fails while it builds its rows fails the JSON export
+    # before any output, and the CSV and DOT exports, which do not wait
+    # for the edge count, after their header; a formatter that raises in
+    # the parent, or a stream that ends early, fails it after the header
+    # and the chunks before, which stay printed; every worker is reaped
+    # either way
     argv = ["graph", "--n", "9", "--threads", "2", "--format", fmt]
     assert main(argv) == 0
     full = capfd.readouterr().out
@@ -298,7 +338,9 @@ def test_failed_export_worker_exits_4(capfd, monkeypatch, fmt, phase):
         code = main(argv)
     out, err = capfd.readouterr()
     if phase == "build":
-        assert (code, out) == (4, "")
+        assert code == 4
+        assert out == "" if fmt == "json" else (
+            len(out) < len(full) and full.startswith(out))
         assert err.count("Traceback") == 1 and "ValueError: bad chunk" in err
         assert err.splitlines()[-1] == (
             "matchflip: graph build workers exited with [1, -9]")
@@ -446,6 +488,27 @@ def test_commands_leave_heavy_modules_unimported():
     assert proc.stderr == "[[], [], []]\n"
 
 
+_JSON_IMPORT = """
+import sys
+from matchflip.cli import main
+loaded = "json" in sys.modules
+main(["diameter", "--n", "8", "--format", "table"])
+print(loaded, "json" in sys.modules, file=sys.stderr)
+main(["diameter", "--n", "8"])
+print("json" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_json_is_imported_only_to_print_json():
+    # json's modules cost about 0.25 MiB of RSS: a command imports them
+    # when it prints JSON, after its graph work, and a table never does
+    proc = subprocess.run([sys.executable, "-c", _JSON_IMPORT],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == "False False\nTrue\n"
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_verify_prints_verify_counts(capsys, n):
     code, out, _ = run(capsys, "verify", "--n", str(n))
@@ -580,7 +643,8 @@ def test_streamed_graph_json_matches_dump(n, mode):
     text = partial(cli._edge_chunks, *cli._EDGE_FORMS["json"])
     want = cli._dump(graph_json_obj(oracle_edge_rows(n, mode)))
     for threads in (1, 2):
-        with edge_text(n, mode, threads, None, text) as (edge_count, edges):
+        with edge_text(n, mode, threads, None, text, True) as (edge_count,
+                                                               edges):
             got = "".join(cli._graph_json(n, mode, edge_count, edges))
         assert got == want
 
@@ -790,6 +854,24 @@ def test_graph_export_parent_holds_one_chunk_at_a_time(tmp_path, monkeypatch,
     assert main(["graph", "--n", "11", "--mode", "all", "--threads", "2",
                  "--format", fmt, "--out", str(tmp_path / "g")]) == 0
     assert len(alive) == 29 and max(alive) <= 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "dot"])
+def test_csv_and_dot_format_one_chunk_at_a_time(tmp_path, monkeypatch, fmt):
+    # only JSON waits for the edge count: with one thread, as each of the
+    # 9 chunks of graph --n 10 is built in process, the ones before it
+    # are gone
+    chunk_rows, targets, alive = graphs._chunk_rows, [], []
+
+    def counting(job):
+        chunk = chunk_rows(job)
+        targets.append(weakref.ref(chunk[1]))
+        alive.append(sum(t() is not None for t in targets))
+        return chunk
+    monkeypatch.setattr(graphs, "_chunk_rows", counting)
+    assert main(["graph", "--n", "10", "--mode", "all", "--threads", "1",
+                 "--format", fmt, "--out", str(tmp_path / "g")]) == 0
+    assert alive == [1] * 9
 
 
 # VmHWM rise, in bytes, of graphs.component_census(n, mode)
